@@ -26,9 +26,6 @@ int main(int argc, char** argv) {
   cfg.trace_capacity = 1 << 18;  // chaos runs are long; keep the whole story
   cfg.node.sig_mode = crypto::SignatureMode::kSimFast;
   cfg.node.prevalidation.sig_mode = crypto::SignatureMode::kSimFast;
-  // The parallel engine is byte-identical across worker counts, so this only
-  // changes wall-clock time — the printed trace stays exactly the same.
-  cfg.workers = 4;
   harness::LoNetwork net(cfg);
   std::printf("== LO chaos lab: %zu miners ==\n\n", net.size());
 

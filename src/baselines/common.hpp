@@ -26,9 +26,6 @@ struct BaselineNetConfig {
   // Enable the simulator's deterministic event tracer (same stream the LØ
   // harness records, so baseline traces diff side by side).
   bool trace = false;
-  // Simulator worker shards (>= 1); same-seed runs are byte-identical for
-  // every value (DESIGN.md §4e).
-  unsigned workers = 1;
 };
 
 // NodeT requirements:
@@ -44,7 +41,6 @@ class BaselineNetwork {
                   const typename NodeT::Config& node_cfg)
       : config_(net_cfg), sim_(net_cfg.seed) {
     if (net_cfg.trace) sim_.obs().tracer.enable(true);
-    if (net_cfg.workers > 1) sim_.set_workers(net_cfg.workers);
     if (net_cfg.city_latency) {
       sim_.set_latency_model(std::make_shared<sim::CityLatencyModel>());
     } else {
@@ -53,19 +49,11 @@ class BaselineNetwork {
     }
     topology_ = overlay::Topology::random(net_cfg.num_nodes, net_cfg.topology,
                                           sim_.rng());
-    // The admit hook mutates a harness-global accumulator, so its body is
-    // deferred through Simulator::post(): inline under the serial engine,
-    // at the window barrier (in global event-key order) under the parallel
-    // one. Captures are plain values only.
     hooks_.on_mempool_admit = [this](core::NodeId, const core::Transaction& tx,
                                      sim::TimePoint when) {
-      const double latency_s = sim::to_seconds(when - tx.created_at);
-      const std::uint64_t tid = core::txid_short(tx.id);
-      sim_.post([this, latency_s, tid, when] {
-        mempool_latency_.add(latency_s);
-        // Baselines have no consensus stub: settle = first admit anywhere.
-        if (anomaly_) anomaly_->on_settle(tid, when);
-      });
+      mempool_latency_.add(sim::to_seconds(when - tx.created_at));
+      // Baselines have no consensus stub: settle = first admit anywhere.
+      if (anomaly_) anomaly_->on_settle(core::txid_short(tx.id), when);
     };
     nodes_.reserve(net_cfg.num_nodes);
     for (std::size_t i = 0; i < net_cfg.num_nodes; ++i) {

@@ -408,8 +408,7 @@ class LoNode final : public sim::INode {
   // Hot accountability counters with per-shard attribution: one cell per
   // shard, labeled {node} at k=1 (ids unchanged from the unsharded layout)
   // and {node, shard} at k>1 so snapshots and loscope reports roll up per
-  // shard pipeline. Single-writer like every per-node cell (one node = one
-  // shard worker under the parallel engine).
+  // shard pipeline. Single-writer like every per-node cell.
   std::vector<std::uint64_t*> c_commits_;
   std::vector<std::uint64_t*> c_sync_rounds_;
   std::vector<std::uint64_t*> c_suspicions_;

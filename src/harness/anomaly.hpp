@@ -12,13 +12,12 @@
 //   commit-slo       the p95 submit->settle latency of the tick window
 //                    breached the commit-latency SLO.
 //
-// Determinism: feeds are called only in coordinator context (harness hook
-// post() bodies and coordinator-scheduled closures), state uses ordered
-// containers, and the tick itself is an ordinary coordinator timer — so the
-// alert stream, the lo.anomaly.* counters and the kAnomaly trace events are
-// byte-identical across worker counts (same argument as the invariant
-// checker; DESIGN.md §4e). Feed bodies never emit trace events; only tick()
-// does, from its own (coordinator) dispatch.
+// Determinism: feeds are called from harness metric hooks and
+// coordinator-scheduled closures, state uses ordered containers, and the tick
+// itself is an ordinary coordinator timer — so the alert stream, the
+// lo.anomaly.* counters and the kAnomaly trace events are byte-identical on
+// same-seed replay. Feed bodies never emit trace events; only tick() does,
+// from its own (coordinator) dispatch.
 #pragma once
 
 #include <cstdint>

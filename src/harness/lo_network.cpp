@@ -18,7 +18,6 @@ LoNetwork::LoNetwork(const NetworkConfig& config)
     sim_.obs().tracer.set_capacity(config.trace_capacity);
   }
   if (config.trace) sim_.obs().tracer.enable(true);
-  if (config.workers > 1) sim_.set_workers(config.workers);
 
   if (config.city_latency) {
     sim_.set_latency_model(std::make_shared<sim::CityLatencyModel>());
@@ -53,61 +52,46 @@ LoNetwork::LoNetwork(const NetworkConfig& config)
     }
   }
 
-  // Metric hooks. Hook bodies mutate harness-global accumulators, which are
-  // outside the sharded node state — so each body is deferred through
-  // Simulator::post(): under the serial engine it runs inline, under the
-  // parallel engine it runs at the window barrier on the coordinator thread,
-  // in global event-key order (the exact order the serial engine would have
-  // used). Captures are plain values only.
+  // Metric hooks.
   hooks_.on_mempool_admit = [this](core::NodeId, const core::Transaction& tx,
                                    sim::TimePoint when) {
-    const double latency_s = sim::to_seconds(when - tx.created_at);
-    const std::uint64_t tid = core::txid_short(tx.id);
-    sim_.post([this, latency_s, tid, when] {
-      mempool_latency_.add(latency_s);
-      // Without a consensus stub, "settled" means first mempool admission
-      // anywhere; with block production, schedule_next_block() settles at
-      // first inclusion instead (and on_settle is first-wins either way).
-      if (anomaly_ && !leaders_) anomaly_->on_settle(tid, when);
-    });
+    mempool_latency_.add(sim::to_seconds(when - tx.created_at));
+    // Without a consensus stub, "settled" means first mempool admission
+    // anywhere; with block production, schedule_next_block() settles at
+    // first inclusion instead (and on_settle is first-wins either way).
+    if (anomaly_ && !leaders_) {
+      anomaly_->on_settle(core::txid_short(tx.id), when);
+    }
   };
   hooks_.on_suspect = [this](core::NodeId node, core::NodeId suspect,
                              sim::TimePoint when) {
-    sim_.post([this, node, suspect, when] {
-      suspicion_events_.push_back(
-          BlameEvent{node, suspect, sim::to_seconds(when)});
-      if (anomaly_) anomaly_->on_suspicion();
-    });
+    suspicion_events_.push_back(
+        BlameEvent{node, suspect, sim::to_seconds(when)});
+    if (anomaly_) anomaly_->on_suspicion();
   };
   hooks_.on_reconcile = [this](core::NodeId, std::size_t, bool decode_ok) {
-    if (!anomaly_) return;  // read-only during the run; set before run_for()
-    sim_.post([this, decode_ok] { anomaly_->on_reconcile(decode_ok); });
+    if (anomaly_) anomaly_->on_reconcile(decode_ok);
   };
   hooks_.on_exposure = [this](core::NodeId node, core::NodeId accused,
                               sim::TimePoint when) {
-    sim_.post([this, node, accused, when] {
-      exposure_events_.push_back(
-          BlameEvent{node, accused, sim::to_seconds(when)});
-    });
+    exposure_events_.push_back(
+        BlameEvent{node, accused, sim::to_seconds(when)});
   };
   hooks_.on_member_state = [this](core::NodeId node, core::NodeId member,
                                   membership::MemberState state,
                                   sim::TimePoint when) {
-    sim_.post([this, node, member, state, when] {
-      member_events_.push_back(
-          MemberEvent{node, member, state, sim::to_seconds(when)});
-      // Crash -> confirmation latency: only counted while the member is in
-      // fact down (a confirm of a node that already restarted is stale news,
-      // not a detection). crash_time_s_ only changes in coordinator context,
-      // so reading it at the barrier sees exactly the serial engine's value.
-      if (state == membership::MemberState::kConfirmed &&
-          member < crash_time_s_.size() && crash_time_s_[member] >= 0.0) {
-        const double latency_s = sim::to_seconds(when) - crash_time_s_[member];
-        membership_detection_latency_.add(latency_s);
-        sim_.obs().registry.histogram("membership.detection_latency_s")
-            .observe(latency_s);
-      }
-    });
+    member_events_.push_back(
+        MemberEvent{node, member, state, sim::to_seconds(when)});
+    // Crash -> confirmation latency: only counted while the member is in
+    // fact down (a confirm of a node that already restarted is stale news,
+    // not a detection).
+    if (state == membership::MemberState::kConfirmed &&
+        member < crash_time_s_.size() && crash_time_s_[member] >= 0.0) {
+      const double latency_s = sim::to_seconds(when) - crash_time_s_[member];
+      membership_detection_latency_.add(latency_s);
+      sim_.obs().registry.histogram("membership.detection_latency_s")
+          .observe(latency_s);
+    }
   };
   crash_time_s_.assign(n, -1.0);
   ever_crashed_.assign(n, false);

@@ -49,11 +49,6 @@ struct NetworkConfig {
   // `trace_capacity` sizes the ring; 0 keeps the tracer default.
   bool trace = false;
   std::size_t trace_capacity = 0;
-
-  // Simulator worker shards (>= 1). 1 keeps the serial engine; W > 1 runs
-  // the conservatively synchronized parallel engine — same-seed runs are
-  // byte-identical for every W (DESIGN.md §4e).
-  unsigned workers = 1;
 };
 
 struct DetectionTimes {

@@ -104,7 +104,7 @@ class Registry {
   // Concurrency model (DESIGN.md §4d): the internal mutex guards the cell
   // *map* — registration, snapshot, merge and export are safe from any
   // thread. The returned value references deliberately escape the lock: a
-  // cell is single-writer (owned by the shard/thread that registered it),
+  // cell is single-writer (owned by the thread that registered it),
   // and cross-thread aggregation goes through snapshot()/merge(), never
   // through a shared cell handle.
   std::uint64_t& counter(std::string_view name, const Labels& labels = {});
@@ -119,7 +119,7 @@ class Registry {
   // Merges `other` into this registry: counters and histogram buckets add,
   // gauges add (the aggregate of per-node gauges is their sum — e.g. total
   // mempool size). Same id with a different kind throws. This is the
-  // per-shard -> global aggregation path: workers merge snapshots of their
+  // per-thread -> global aggregation path: threads merge snapshots of their
   // private registries into a shared one, serialized by its mutex.
   void merge(const Snapshot& other);
 

@@ -19,37 +19,28 @@ const char* profile_site_name(ProfileSite s) noexcept {
 
 namespace profile {
 
-// lolint:allow(mutable-static) reason=process-global profile table; slots are relaxed atomics so worker hits commute and publish() merges settled sums
+// lolint:allow(mutable-static) reason=process-global profile table for hooks in layers (crypto, gf) that know no simulation; written only while profiling is on, which only single-threaded runs turn on
 bool g_enabled = false;
-// lolint:allow(mutable-static) reason=process-global profile table; slots are relaxed atomics so worker hits commute and publish() merges settled sums
-std::array<AtomicProfileCounters, static_cast<std::size_t>(ProfileSite::kCount)>
+// lolint:allow(mutable-static) reason=process-global profile table for hooks in layers (crypto, gf) that know no simulation; written only while profiling is on, which only single-threaded runs turn on
+std::array<ProfileCounters, static_cast<std::size_t>(ProfileSite::kCount)>
     g_counters{};
 
 void set_enabled(bool on) noexcept { g_enabled = on; }
 
 bool enabled() noexcept { return g_enabled; }
 
-void reset() noexcept {
-  for (auto& c : g_counters) {
-    c.calls.store(0, std::memory_order_relaxed);
-    c.items.store(0, std::memory_order_relaxed);
-  }
-}
+void reset() noexcept { g_counters.fill(ProfileCounters{}); }
 
 ProfileCounters counters(ProfileSite s) noexcept {
-  const auto& c = g_counters[static_cast<std::size_t>(s)];
-  return ProfileCounters{c.calls.load(std::memory_order_relaxed),
-                         c.items.load(std::memory_order_relaxed)};
+  return g_counters[static_cast<std::size_t>(s)];
 }
 
 void publish(Registry& reg) {
   for (std::size_t i = 0; i < g_counters.size(); ++i) {
     const auto site = static_cast<ProfileSite>(i);
     const Labels labels{{"site", profile_site_name(site)}};
-    reg.counter("profile.calls", labels) =
-        g_counters[i].calls.load(std::memory_order_relaxed);
-    reg.counter("profile.items", labels) =
-        g_counters[i].items.load(std::memory_order_relaxed);
+    reg.counter("profile.calls", labels) = g_counters[i].calls;
+    reg.counter("profile.items", labels) = g_counters[i].items;
   }
 }
 

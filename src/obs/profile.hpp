@@ -15,7 +15,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 
 namespace lo::obs {
@@ -41,29 +40,18 @@ struct ProfileCounters {
 
 namespace profile {
 
-// Relaxed atomic slots: the instrumented sites (verify, decode, reconcile)
-// run inside worker-sharded simulator events, so several workers may hit the
-// same site concurrently. Counts are pure sums — commutative — so relaxed
-// increments keep the published totals deterministic for a given seed no
-// matter how the workers interleave, and publish() (coordinator-only) reads
-// settled values across the window barrier.
-struct AtomicProfileCounters {
-  std::atomic<std::uint64_t> calls{0};
-  std::atomic<std::uint64_t> items{0};
-};
-
-// lolint:allow(mutable-static) reason=process-global profile table; slots are relaxed atomics so worker hits commute and publish() merges settled sums
+// lolint:allow(mutable-static) reason=process-global profile table for hooks in layers (crypto, gf) that know no simulation; written only while profiling is on, which only single-threaded runs turn on
 extern bool g_enabled;
-// lolint:allow(mutable-static) reason=process-global profile table; slots are relaxed atomics so worker hits commute and publish() merges settled sums
-extern std::array<AtomicProfileCounters,
+// lolint:allow(mutable-static) reason=process-global profile table for hooks in layers (crypto, gf) that know no simulation; written only while profiling is on, which only single-threaded runs turn on
+extern std::array<ProfileCounters,
                   static_cast<std::size_t>(ProfileSite::kCount)>
     g_counters;
 
 inline void hit(ProfileSite s, std::uint64_t items = 1) noexcept {
   if (!g_enabled) return;  // the entire cost when profiling is off
   auto& c = g_counters[static_cast<std::size_t>(s)];
-  c.calls.fetch_add(1, std::memory_order_relaxed);
-  c.items.fetch_add(items, std::memory_order_relaxed);
+  ++c.calls;
+  c.items += items;
 }
 
 void set_enabled(bool on) noexcept;

@@ -2,10 +2,9 @@
 //
 // obs::Mutex is a std::mutex carrying the Clang capability attribute, and
 // MutexLock is the scoped guard the thread-safety analysis understands. The
-// simulator is single-threaded today, so every acquisition is uncontended —
-// the wrappers exist so Registry/Tracer state is *annotated and guarded now*,
-// and the parallel-DES refactor inherits machine-checked lock discipline
-// instead of an archaeology project (DESIGN.md §4d).
+// simulator is single-threaded, so inside one run every acquisition is
+// uncontended; the lock guards Registry/Tracer state for callers that share
+// a registry across threads (Registry::merge aggregation, DESIGN.md §4d).
 //
 // Locking stays out of the per-event hot paths: Registry hands out stable
 // cell addresses once (registration locks, bumps do not — single-writer by

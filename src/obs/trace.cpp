@@ -115,7 +115,6 @@ void Tracer::set_capacity(std::size_t capacity) {
   ring_.clear();
   ring_.shrink_to_fit();
   head_ = 0;
-  count_ = 0;
   dropped_ = 0;
 }
 
@@ -126,7 +125,7 @@ std::size_t Tracer::capacity() const {
 
 std::size_t Tracer::size() const {
   MutexLock lock(mu_);
-  return count_;
+  return ring_.size();
 }
 
 std::uint64_t Tracer::dropped() const {
@@ -135,41 +134,18 @@ std::uint64_t Tracer::dropped() const {
 }
 
 namespace {
-// Shard-worker redirect (see Tracer::ThreadSink). Thread-local by design:
-// each worker thread owns exactly one sink for the duration of a lookahead
-// window, installed and cleared by the simulator around the window body.
-thread_local Tracer::ThreadSink* t_sink = nullptr;
-// Current causal context (see Tracer::Cause). Thread-local by design: the
-// simulator sets it around every dispatch on the thread that executes it,
-// and derives it from simulator event keys, so the values a thread observes
-// are independent of which thread runs the dispatch.
+// Current causal context (see Tracer::Cause). Thread-local so simulations
+// running on different threads of one process keep separate causes: the
+// simulator sets it around every dispatch on the thread that runs it.
 thread_local Tracer::Cause t_cause;
 }  // namespace
-
-void Tracer::set_thread_sink(ThreadSink* sink) noexcept { t_sink = sink; }
-
-Tracer::ThreadSink* Tracer::thread_sink() noexcept { return t_sink; }
 
 void Tracer::set_thread_cause(Cause c) noexcept { t_cause = c; }
 
 Tracer::Cause Tracer::thread_cause() noexcept { return t_cause; }
 
-void Tracer::append(const TraceEvent& ev) {
-  MutexLock lock(mu_);
-  if (ring_.size() != capacity_) ring_.resize(capacity_);
-  if (count_ < capacity_) {
-    ring_[(head_ + count_) % capacity_] = ev;
-    ++count_;
-  } else {
-    ring_[head_] = ev;  // overwrite the oldest
-    head_ = (head_ + 1) % capacity_;
-    ++dropped_;
-  }
-}
-
 std::uint16_t Tracer::intern(std::string_view s) {
   if (s.empty()) return 0;
-  if (ThreadSink* sink = t_sink) return sink->sink_intern(s);
   MutexLock lock(mu_);
   auto it = intern_.find(s);
   if (it != intern_.end()) return it->second;
@@ -206,13 +182,21 @@ void Tracer::record(EventKind kind, std::uint32_t node, std::uint32_t peer,
   const Cause c = thread_cause();
   ev.span = c.span;
   ev.parent = c.parent;
-  append(ev);
+  MutexLock lock(mu_);
+  if (ring_.size() < capacity_) {
+    if (ring_.empty()) ring_.reserve(capacity_);
+    ring_.push_back(ev);
+  } else {
+    ring_[head_] = ev;  // overwrite the oldest
+    head_ = (head_ + 1) % capacity_;
+    ++dropped_;
+  }
 }
 
 std::vector<TraceEvent> Tracer::events_locked() const {
   std::vector<TraceEvent> out;
-  out.reserve(count_);
-  for (std::size_t i = 0; i < count_; ++i) {
+  out.reserve(ring_.size());
+  for (std::size_t i = 0; i < ring_.size(); ++i) {
     out.push_back(ring_[(head_ + i) % capacity_]);
   }
   return out;
@@ -225,8 +209,8 @@ std::vector<TraceEvent> Tracer::events() const {
 
 void Tracer::clear() {
   MutexLock lock(mu_);
+  ring_.clear();  // keeps the reservation
   head_ = 0;
-  count_ = 0;
   dropped_ = 0;
 }
 
@@ -238,8 +222,8 @@ std::vector<std::uint8_t> Tracer::bytes() const {
   w.u64(dropped_);
   w.u32(static_cast<std::uint32_t>(names_.size()));
   for (const auto& n : names_) w.str(n);
-  w.u64(count_);
-  for (std::size_t i = 0; i < count_; ++i) {
+  w.u64(ring_.size());
+  for (std::size_t i = 0; i < ring_.size(); ++i) {
     const TraceEvent& ev = ring_[(head_ + i) % capacity_];
     w.u64(static_cast<std::uint64_t>(ev.at));
     w.u16(ev.kind);

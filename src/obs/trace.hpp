@@ -107,8 +107,8 @@ const char* reconcile_outcome_name(std::uint64_t r) noexcept;
 // the span of the dispatch that *caused* that dispatch (the send for a
 // delivery, the scheduling context for a timer), so send -> deliver ->
 // handle -> emit chains form a cross-node happens-before DAG. Span ids are
-// derived from simulator event keys, so they are identical across worker
-// counts; 0 means "no cause" (emitted outside any dispatch).
+// derived from simulator event keys, so same-seed runs stamp the same ids;
+// 0 means "no cause" (emitted outside any dispatch).
 struct TraceEvent {
   std::int64_t at = 0;  // simulator microseconds
   std::uint16_t kind = 0;
@@ -133,10 +133,10 @@ class Tracer {
 
   // The per-thread "current cause": the causal span of the dispatch the
   // calling thread is currently executing, and that dispatch's own parent.
-  // The simulator sets it around every event dispatch (serial and sharded
-  // paths both), emit() stamps it into each recorded event, and send/
-  // schedule capture it as the parent of the events they create. Stored here
-  // rather than in sim/ so obs stays independent of the scheduler.
+  // The simulator sets it around every event dispatch, emit() stamps it into
+  // each recorded event, and send/schedule capture it as the parent of the
+  // events they create. Stored here rather than in sim/ so obs stays
+  // independent of the scheduler.
   struct Cause {
     std::uint64_t span = 0;
     std::uint64_t parent = 0;
@@ -175,34 +175,9 @@ class Tracer {
   void set_capacity(std::size_t capacity);
   std::size_t capacity() const;
 
-  // Per-thread redirect for the sharded parallel simulator. While a sink is
-  // installed on a thread, emit() and intern() on that thread route to the
-  // sink instead of the shared ring/intern table: workers record into
-  // shard-local buffers (with shard-local intern ids) and the simulator
-  // merges them into this tracer at the window barrier, in deterministic
-  // event-key order, remapping names through the canonical intern(). The
-  // registration is thread-local, so installing a sink never perturbs other
-  // threads or other tracers.
-  class ThreadSink {
-   public:
-    virtual ~ThreadSink() = default;
-    virtual void sink_event(EventKind kind, std::uint32_t node,
-                            std::uint32_t peer, std::uint64_t a,
-                            std::uint64_t b, std::uint16_t name,
-                            std::uint32_t aux) = 0;
-    virtual std::uint16_t sink_intern(std::string_view s) = 0;
-  };
-  static void set_thread_sink(ThreadSink* sink) noexcept;
-  static ThreadSink* thread_sink() noexcept;
-
-  // Appends a fully-formed event (timestamp already stamped by the caller)
-  // under the normal ring/overflow policy — the barrier merge path.
-  void append(const TraceEvent& ev);
-
   // Interns a string, returning its stable id. Ids are assigned in first-use
   // order (deterministic given deterministic call order); id 0 is "". Throws
-  // std::length_error past 65535 distinct strings. Routed through the
-  // thread sink when one is installed on the calling thread.
+  // std::length_error past 65535 distinct strings.
   std::uint16_t intern(std::string_view s);
   std::string name(std::uint16_t id) const;
   std::vector<std::string> names() const;
@@ -210,16 +185,11 @@ class Tracer {
   // Records an event (no-op when disabled). Overflow policy: drop-oldest —
   // the ring keeps the most recent `capacity` events and counts what it
   // evicted, so the tail of a long run is always inspectable. The enabled
-  // check stays outside the lock: enable() is a configuration call made
-  // before any concurrent emitters exist (DESIGN.md §4d).
+  // check stays outside the lock, so the disabled path is one branch.
   void emit(EventKind kind, std::uint32_t node, std::uint32_t peer = 0,
             std::uint64_t a = 0, std::uint64_t b = 0, std::uint16_t name = 0,
             std::uint32_t aux = 0) {
     if (!enabled_) return;
-    if (ThreadSink* sink = thread_sink()) {
-      sink->sink_event(kind, node, peer, a, b, name, aux);
-      return;
-    }
     record(kind, node, peer, a, b, name, aux);
   }
 
@@ -257,19 +227,20 @@ class Tracer {
               std::uint32_t aux);
   std::vector<TraceEvent> events_locked() const LO_REQUIRES(mu_);
 
-  // enabled_ and clock_ are configuration: set before any concurrent
-  // emitters exist, read-only afterwards — deliberately outside mu_ so the
-  // disabled fast path stays one branch. Ring, counters and the intern table
-  // are the shared-mutable state the capability analysis guards.
-  // lolint:allow(unguarded-field) reason=configuration latch set before concurrent emitters exist; keeping it lock-free is what makes the disabled path one branch
+  // enabled_ and clock_ are configuration: set before the run, read-only
+  // afterwards — deliberately outside mu_ so the disabled fast path stays one
+  // branch. Ring, counters and the intern table are the shared-mutable state
+  // the capability analysis guards.
+  // lolint:allow(unguarded-field) reason=configuration latch set before the run; keeping it lock-free is what makes the disabled path one branch
   bool enabled_ = false;
   const std::int64_t* clock_ = nullptr;
   mutable Mutex mu_;
   std::size_t capacity_ LO_GUARDED_BY(mu_);
   std::size_t head_ LO_GUARDED_BY(mu_) = 0;  // index of the oldest event
-  std::size_t count_ LO_GUARDED_BY(mu_) = 0;
   std::uint64_t dropped_ LO_GUARDED_BY(mu_) = 0;
-  // Allocated lazily on first record.
+  // Grows by push_back until it holds `capacity_` events, then wraps: the
+  // full capacity is reserved on the first record but only touched as events
+  // arrive. head_ stays 0 until the ring is full.
   std::vector<TraceEvent> ring_ LO_GUARDED_BY(mu_);
   std::vector<std::string> names_ LO_GUARDED_BY(mu_);
   std::map<std::string, std::uint16_t, std::less<>> intern_ LO_GUARDED_BY(mu_);

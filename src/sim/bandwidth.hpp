@@ -27,13 +27,6 @@ class BandwidthAccountant {
 
   void record(std::uint32_t from, const char* msg_class, std::size_t bytes);
 
-  // Folds another accountant's totals into this one (per-node, per-class and
-  // grand totals all add). This is the barrier aggregation path of the
-  // parallel simulator: workers record into per-shard scratch accountants and
-  // the coordinator merges them — byte counts are sums, so the merged state
-  // is independent of worker interleaving.
-  void merge(const BandwidthAccountant& other);
-
   // Total bytes sent by one node (all classes).
   std::uint64_t sent_by(std::uint32_t node) const;
   // Totals across all nodes.

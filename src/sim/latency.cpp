@@ -1,6 +1,5 @@
 #include "sim/latency.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -83,13 +82,6 @@ std::int64_t CityLatencyModel::base_us(std::size_t city_a,
   const std::size_t n = city_count();
   if (city_a >= n || city_b >= n) throw std::out_of_range("city index");
   return matrix_[city_a * n + city_b];
-}
-
-std::int64_t CityLatencyModel::min_latency_us() const {
-  if (jitter_frac_ > 0.0) return 200;  // only the latency_us() clamp survives jitter
-  std::int64_t m = matrix_.empty() ? 200 : matrix_[0];
-  for (const std::int64_t v : matrix_) m = std::min(m, v);
-  return std::max<std::int64_t>(m, 200);
 }
 
 std::int64_t CityLatencyModel::latency_us(std::uint32_t from, std::uint32_t to,

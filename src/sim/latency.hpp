@@ -24,14 +24,6 @@ class LatencyModel {
   // One-way delivery latency in microseconds for a message from a to b.
   virtual std::int64_t latency_us(std::uint32_t from, std::uint32_t to,
                                   util::Rng& rng) = 0;
-  // Lower bound on latency_us over all (from, to, rng draw) — the lookahead
-  // window of the conservatively synchronized parallel engine: a message sent
-  // at time t cannot arrive before t + min_latency_us(), so shards may
-  // advance that far without synchronizing. The default (0) is always safe:
-  // it simply degrades the parallel engine to serial execution. Models
-  // returning a positive bound must guarantee latency_us() never goes below
-  // it.
-  virtual std::int64_t min_latency_us() const { return 0; }
 };
 
 class ConstantLatency final : public LatencyModel {
@@ -40,7 +32,6 @@ class ConstantLatency final : public LatencyModel {
   std::int64_t latency_us(std::uint32_t, std::uint32_t, util::Rng&) override {
     return us_;
   }
-  std::int64_t min_latency_us() const override { return us_; }
 
  private:
   std::int64_t us_;
@@ -53,10 +44,6 @@ class CityLatencyModel final : public LatencyModel {
 
   std::int64_t latency_us(std::uint32_t from, std::uint32_t to,
                           util::Rng& rng) override;
-  // With jitter the lognormal multiplier has no positive lower bound, so the
-  // only guaranteed floor is the 200 us same-city hop latency_us() clamps to;
-  // without jitter it is the matrix minimum (itself never below the clamp).
-  std::int64_t min_latency_us() const override;
 
   static std::size_t city_count() noexcept;
   static std::string city_name(std::size_t i);

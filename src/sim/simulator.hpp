@@ -1,5 +1,4 @@
-// Deterministic discrete-event network simulator with a conservatively
-// synchronized parallel engine.
+// Deterministic discrete-event network simulator.
 //
 // The paper evaluates LØ on a 10,000-process cluster deployment; this
 // reproduction substitutes an event-driven simulation (see DESIGN.md,
@@ -23,39 +22,25 @@
 // messages dropped earlier, and cutting a link does not destroy messages that
 // already left (test_sim.cpp pins this).
 //
-// Determinism and the parallel engine (DESIGN.md §4e): every event carries a
-// key (at, seq) where seq = (counter << 24) | creator, with one counter per
-// creating context (node, or the coordinator). Keys are globally unique and
-// depend only on each context's own scheduling history, never on global
-// interleaving — so executing events in key order gives the same run whether
-// one thread pops a single queue or W workers advance per-shard queues
-// through lookahead windows bounded by LatencyModel::min_latency_us().
-// Cross-shard sends are buffered into per-shard inboxes and merged at window
-// barriers; per-node RNG streams (node_rng) make draws independent of
-// scheduling order. set_workers(1) — the default — keeps the fully serial
-// engine; a parallel run at the same seed produces byte-identical traces and
-// registry exports (test_determinism asserts this across worker counts).
+// Determinism (DESIGN.md §4c): events run one at a time, popped in key
+// order (at, seq), where seq = (counter << 24) | creator and each creating
+// context (a node, or the coordinator) keeps its own counter. A key depends
+// only on its creator's own scheduling history, and every node draws from
+// its own RNG stream (node_rng), so a node's draws never depend on how other
+// nodes' events interleave with its own.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <exception>
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <queue>
-#include <string>
-#include <string_view>
-#include <thread>
+#include <stdexcept>
 #include <vector>
 
 #include "obs/hub.hpp"
 #include "sim/bandwidth.hpp"
 #include "sim/latency.hpp"
-#include "sim/shard_mutex.hpp"
 #include "util/rng.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace lo::sim {
 
@@ -74,7 +59,7 @@ constexpr Duration kSecond = 1000000;
 
 // Context id carried in the low 24 bits of an event key: a node id, or this
 // sentinel for the coordinator (setup code, workloads, fault scripts —
-// everything that runs between lookahead windows, never on a worker).
+// everything that runs outside a node's own dispatch).
 constexpr std::uint32_t kCoordinatorCtx = 0xFFFFFFu;
 
 // Base class for all wire messages. wire_size() must return the serialized
@@ -99,7 +84,6 @@ class INode {
 class Simulator {
  public:
   explicit Simulator(std::uint64_t seed);
-  ~Simulator();
 
   // The observability hub's tracer holds a pointer to this simulator's
   // clock cell, so the object must stay put once constructed.
@@ -108,13 +92,13 @@ class Simulator {
   Simulator(Simulator&&) = delete;
   Simulator& operator=(Simulator&&) = delete;
 
-  // Current simulation time: the executing event's timestamp on a worker
-  // thread, the coordinator clock everywhere else.
-  TimePoint now() const noexcept;
+  // Current simulation time: the executing event's timestamp, or where the
+  // last run_until() left the clock.
+  TimePoint now() const noexcept { return now_; }
 
-  // The coordinator RNG stream: setup, topology, workloads. Worker-context
-  // code must draw from node_rng() instead so shards draw independently of
-  // scheduling order.
+  // The coordinator RNG stream: setup, topology, workloads. Node-context
+  // code draws from node_rng() instead, so a node's draws depend only on
+  // its own history.
   util::Rng& rng() noexcept { return rng_; }
   // Per-node stream, derived from (seed, node id) at registration
   // (util::Rng::for_stream). Throws std::out_of_range for unregistered ids.
@@ -133,34 +117,6 @@ class Simulator {
   // does not own the node.
   NodeId add_node(INode* node);
   std::size_t node_count() const noexcept { return nodes_.size(); }
-
-  // --- parallel engine ---
-  // Number of worker shards (>= 1). 1 (the default) is the serial engine;
-  // W > 1 shards node-context events by node id % W across a worker pool and
-  // advances them through lookahead windows bounded by the latency model's
-  // min_latency_us() (a model with no positive bound degrades to serial).
-  // Pending events are re-bucketed, so this may be called any time from
-  // coordinator context; same-seed runs are byte-identical for every W.
-  void set_workers(unsigned n);
-  unsigned workers() const noexcept { return workers_; }
-
-  // Deterministic side channel for observers that live outside the sharded
-  // state (harness metric hooks). From worker context the closure is buffered
-  // with the executing event's key and run at the window barrier, on the
-  // coordinator thread, in global key order — exactly the order the serial
-  // engine would have run it inline. From coordinator context it runs
-  // immediately. Closures must capture plain values and must not schedule
-  // events or draw RNG (they run outside any event context).
-  void post(std::function<void()> fn);
-
-  // Shared registry counters that worker-context code needs to bump (the
-  // simulator's own drop/suppression counters, the fault injector's link
-  // drops): registration (coordinator-only) binds a registry cell and returns
-  // a handle; bumps from worker context accumulate in per-shard scratch
-  // flushed into the cell at the window barrier. Sums commute, so the merged
-  // value is worker-count-independent.
-  std::uint32_t register_shard_counter(std::string_view name);
-  void bump_shard_counter(std::uint32_t handle, std::uint64_t n = 1);
 
   void set_latency_model(std::shared_ptr<LatencyModel> model) {
     latency_ = std::move(model);
@@ -183,10 +139,8 @@ class Simulator {
   void set_fault_filter(DeliveryFilter f) { fault_filter_ = std::move(f); }
 
   // Maps the model latency to the effective one (fault-injected latency
-  // degradation spikes). Evaluated at send time. Shapers must never reduce
-  // the latency below the model's min_latency_us() — under the parallel
-  // engine a cross-shard delivery below the lookahead window throws
-  // std::logic_error (the conservative-synchronization causality guard).
+  // degradation spikes). Evaluated at send time; a negative result clamps
+  // to 0.
   using LatencyShaper = std::function<Duration(NodeId from, NodeId to, Duration base)>;
   void set_latency_shaper(LatencyShaper f) { latency_shaper_ = std::move(f); }
 
@@ -211,8 +165,7 @@ class Simulator {
   // Fault observability (tests assert on mechanism, not just outcomes). The
   // counters live in the metrics registry ("sim.dropped_sender_down", ...);
   // this struct is a thin read shim assembled from the registry cells so
-  // pre-registry callers keep compiling unchanged. Coordinator-context only:
-  // worker bumps land in the cells at the next window barrier.
+  // pre-registry callers keep compiling unchanged.
   struct FaultCounters {
     std::uint64_t dropped_sender_down = 0;
     std::uint64_t dropped_receiver_down = 0;
@@ -231,7 +184,7 @@ class Simulator {
   void send(NodeId from, NodeId to, PayloadPtr msg);
 
   // Schedules fn at now() + delay (delay < 0 clamps to 0). The callback
-  // executes in the scheduling context (same node shard, or coordinator).
+  // executes in the scheduling context (the same node, or the coordinator).
   void schedule(Duration delay, std::function<void()> fn);
 
   // Schedules fn at now() + delay on behalf of `owner`: the callback is
@@ -252,11 +205,11 @@ class Simulator {
   // run_until never executes anything and never moves now() backwards.
   std::size_t run_until(TimePoint horizon);
 
-  // Processes a single event (always serially, in global key order);
-  // returns false when the queue is empty.
+  // Processes a single event (the one with the smallest key); returns false
+  // when the queue is empty.
   bool step();
 
-  std::size_t pending_events() const;
+  std::size_t pending_events() const noexcept { return queue_.size(); }
 
  private:
   struct Event {
@@ -265,7 +218,7 @@ class Simulator {
     std::uint32_t ctx = kCoordinatorCtx;  // execution context: node or coordinator
     // Causal span of the dispatch that created this event (obs::Tracer::Cause;
     // 0 = created outside any dispatch). Span ids are seq + 1 — globally
-    // unique, worker-count-independent — so the trace layer can link every
+    // unique and fixed by the event key — so the trace layer can link every
     // emitted event to the dispatch chain that caused it.
     std::uint64_t parent = 0;
     std::function<void()> fn;
@@ -282,91 +235,9 @@ class Simulator {
     std::uint64_t epoch = 0;  // bumped on every up -> down transition
   };
 
-  // One shard = one worker's slice of the node space (node id % workers).
-  // During a lookahead window the owning worker is the only thread touching
-  // `queue`; other workers deposit cross-shard deliveries into `inbox` under
-  // its mutex, and the coordinator folds the inbox back into the queue at
-  // the barrier (keys are globally unique, so push order is irrelevant).
-  struct Shard {
-    // lolint:allow(unguarded-field) reason=owned by the shard worker during a window and by the coordinator between windows; never shared
-    EventQueue queue;
-    ShardMutex inbox_mu;
-    std::vector<Event> inbox LO_GUARDED_BY(inbox_mu);
-  };
-
-  // Per-worker execution context + window scratch. Installed thread-locally
-  // for the duration of one lookahead window; all scratch is merged by the
-  // coordinator at the barrier in deterministic event-key order.
-  struct WorkerCtx final : obs::Tracer::ThreadSink {
-    Simulator* sim = nullptr;
-    unsigned shard = 0;
-    TimePoint now = 0;            // executing event's timestamp
-    std::uint64_t exec_seq = 0;   // executing event's key (tags trace/posts)
-    std::uint32_t exec_ctx = kCoordinatorCtx;
-    std::uint64_t floor = 0;      // counter floor for events it schedules
-    std::size_t events = 0;       // events executed this window
-    std::exception_ptr error;
-
-    BandwidthAccountant bw;                // merged into bandwidth_ at barrier
-    std::vector<std::uint64_t> counters;   // parallel to shard_cells_
-
-    struct TraceRec {
-      TimePoint at;
-      std::uint64_t seq;
-      std::uint32_t idx;
-      obs::TraceEvent ev;  // ev.name is a shard-local intern id
-    };
-    std::vector<TraceRec> trace;
-    std::uint32_t trace_idx = 0;
-    // Shard-local intern table; remapped through the canonical Tracer
-    // intern() at the barrier, in merged event order, so first-use global
-    // ids come out identical to a serial run.
-    std::vector<std::string> names{std::string()};  // local id 0 = ""
-    std::map<std::string, std::uint16_t, std::less<>> intern;
-
-    struct PostRec {
-      TimePoint at;
-      std::uint64_t seq;
-      std::uint32_t idx;
-      obs::Tracer::Cause cause;  // restored around fn at the barrier flush
-      std::function<void()> fn;
-    };
-    std::vector<PostRec> posts;
-    std::uint32_t post_idx = 0;
-
-    void sink_event(obs::EventKind kind, std::uint32_t node,
-                    std::uint32_t peer, std::uint64_t a, std::uint64_t b,
-                    std::uint16_t name, std::uint32_t aux) override;
-    std::uint16_t sink_intern(std::string_view s) override;
-  };
-
-  // --- engine internals (simulator.cpp) ---
-  // The executing worker's context: one slot per thread, installed/cleared
-  // by run_shard_window on the thread that owns the WorkerCtx; null on the
-  // coordinator thread and between windows.
-  // lolint:allow(thread-local-protocol) reason=per-worker execution context for the sharded engine; each thread only reads its own slot
-  static thread_local WorkerCtx* tls_ctx_;
-  TimePoint local_now() const noexcept;
   std::uint64_t alloc_seq();
-  unsigned shard_of(std::uint32_t ctx) const noexcept {
-    return static_cast<unsigned>(ctx % workers_);
-  }
-  void push_event(Event ev);
-  void dispatch_serial(Event& ev);
-  int pick_next(TimePoint max_at) const;  // -2 none, -1 coordinator, else shard
-  std::size_t run_serial(TimePoint max_at);
-  std::size_t run_window_parallel(TimePoint bound);
-  void run_shard_window(unsigned s);
-  std::size_t flush_window();
-  void ensure_pool();
-  void stop_pool();
-  // Runs shard s for every window generation published after `seen`.
-  void worker_loop(unsigned s, std::uint64_t seen);
+  void dispatch(Event& ev);
 
-  // Coordinator-owned state: read or written only between worker windows
-  // (setup, barrier advancement, teardown), never from worker threads. now_
-  // additionally has its address escaped to the tracer (set_clock), so it
-  // must stay put.
   std::uint64_t seed_;
   TimePoint now_ = 0;
   util::Rng rng_;
@@ -375,38 +246,13 @@ class Simulator {
   std::vector<NodeState> node_state_;
   std::vector<util::Rng> node_rngs_;
 
-  // Event-key counters: one per creating context. A node's counter is only
-  // touched by its own shard's worker (or the coordinator while workers are
-  // parked), so no locking is needed and the assigned keys are independent
-  // of worker count.
+  // Event-key counters: one per creating context, plus the executing
+  // event's context and counter floor (see alloc_seq).
   std::vector<std::uint64_t> ctx_ctr_;
   std::uint64_t coord_ctr_ = 0;
-  // Serial-path execution context (the TLS WorkerCtx carries these on
-  // worker threads).
   std::uint32_t cur_exec_ctx_ = kCoordinatorCtx;
   std::uint64_t cur_floor_ = 0;
-
-  unsigned workers_ = 1;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::unique_ptr<WorkerCtx>> ctxs_;
-  EventQueue coord_q_;
-
-  // Worker pool (created lazily at the first parallel window). The pool
-  // handshake is a plain mutex + condvar generation counter. participate_,
-  // window_bound_, running_ and the generation bump are published together
-  // in one pool_mu_ critical section, so a worker reading participate_[s]
-  // under pool_mu_ always sees the flag of the generation it observed (a
-  // worker that sat out window g and wakes late cannot pick up window g+1's
-  // flag before g+1 exists). Workers read window_bound_ after that.
-  std::vector<std::thread> threads_;
-  std::mutex pool_mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::uint64_t window_gen_ = 0;
-  unsigned running_ = 0;
-  bool pool_stop_ = false;
-  TimePoint window_bound_ = 0;
-  std::vector<char> participate_;
+  EventQueue queue_;
 
   std::shared_ptr<LatencyModel> latency_;
   BandwidthAccountant bandwidth_;
@@ -415,14 +261,7 @@ class Simulator {
   DeliveryFilter fault_filter_;
   LatencyShaper latency_shaper_;
 
-  // Registry cell handles (stable addresses; see Registry::counter) plus the
-  // shard-counter table (worker bumps accumulate per shard, flushed at
-  // barriers).
-  std::vector<std::uint64_t*> shard_cells_;
-  std::uint32_t c_sender_down_h_ = 0;
-  std::uint32_t c_receiver_down_h_ = 0;
-  std::uint32_t c_suppressed_h_ = 0;
-  std::uint32_t c_fault_filter_h_ = 0;
+  // Registry cell handles (stable addresses; see Registry::counter).
   std::uint64_t* c_dropped_sender_down_;
   std::uint64_t* c_dropped_receiver_down_;
   std::uint64_t* c_suppressed_callbacks_;

@@ -1,8 +1,8 @@
-// Concurrency smoke tests for the pieces that must already be thread-safe
-// ahead of the parallel simulator (DESIGN.md §4d): the lazily-built Field
-// registry, Sketch::decode through its per-thread Decoder workspace, and the
-// Registry's documented aggregation path (private per-thread registries
-// merged into a shared one, serialized by its mutex).
+// Concurrency smoke tests for the library pieces that are thread-safe when a
+// process runs simulations or decodes on several threads (DESIGN.md §4d):
+// the lazily-built Field registry, Sketch::decode through its per-thread
+// Decoder workspace, and the Registry's documented aggregation path (private
+// per-thread registries merged into a shared one, serialized by its mutex).
 //
 // These run in every configuration but earn their keep under
 // -DLO_SANITIZE=thread, where TSan turns a latent data race into a hard

@@ -116,12 +116,11 @@ std::string lo_trace_digest(harness::LoNetwork& net) {
 
 // One full LØ run: malicious minority (silent censors) so that the digest
 // also covers the suspicion/exposure machinery, not just happy-path sync.
-std::string run_lo(std::uint64_t seed, unsigned workers = 1) {
+std::string run_lo(std::uint64_t seed) {
   auto cfg = test::net_cfg(16, seed, /*malicious_fraction=*/0.125);
   cfg.trace = true;  // digest the full event trace, not just the summaries
   cfg.malicious.ignore_requests = true;
   cfg.malicious.censor_txs = true;
-  cfg.workers = workers;
   harness::LoNetwork net(cfg);
   net.start_workload(test::load_cfg(20.0, seed + 1000));
   net.run_for(15.0);
@@ -143,34 +142,17 @@ TEST(Determinism, LoDifferentSeedDifferentTrace) {
   EXPECT_NE(run_lo(42), run_lo(43));
 }
 
-// ------------------------------------------- parallel engine equivalence ----
-
-// The tentpole property of the parallel engine (DESIGN.md §4e): a run is
-// defined by (seed), not (seed, workers). The digest covers commitment-log
-// heads, blame state, every event feed, the full binary trace (string table
-// included) and the registry JSON — so "equal digest" means byte-identical
-// observable output, not merely matching summaries.
-TEST(Determinism, LoParallelWorkersMatchSerial) {
-  const std::string serial = run_lo(42, /*workers=*/1);
-  for (unsigned w : {2u, 4u, 8u}) {
-    EXPECT_EQ(serial, run_lo(42, w))
-        << "parallel LO run diverged from serial at workers=" << w;
-  }
-}
-
 // ---------------------------------------------- sharded pipeline digests ----
 
 // A sharded run: same adversarial setup as run_lo plus block production, so
 // the digest also covers the per-shard proposer draws and the cross-shard
 // combiner ordering (DESIGN.md §7).
-std::string run_lo_sharded(std::uint64_t seed, std::uint32_t k,
-                           unsigned workers) {
+std::string run_lo_sharded(std::uint64_t seed, std::uint32_t k) {
   auto cfg = test::net_cfg(16, seed, /*malicious_fraction=*/0.125);
   cfg.trace = true;
   cfg.malicious.ignore_requests = true;
   cfg.malicious.censor_txs = true;
   cfg.node.mempool_shards = k;
-  cfg.workers = workers;
   harness::LoNetwork net(cfg);
   net.start_workload(test::load_cfg(20.0, seed + 1000));
   consensus::LeaderConfig lc;
@@ -186,15 +168,12 @@ std::string run_lo_sharded(std::uint64_t seed, std::uint32_t k,
   return d.hex();
 }
 
-// ISSUE 9 acceptance: for every shard count the run is defined by (seed)
-// alone — replay-stable and byte-identical across simulator worker counts.
-TEST(Determinism, LoShardedSameSeedSameTraceAcrossWorkers) {
+// For every shard count the run is defined by (seed) alone: a same-seed
+// replay is byte-identical.
+TEST(Determinism, LoShardedSameSeedSameTrace) {
   for (std::uint32_t k : {1u, 2u, 4u}) {
-    const std::string serial = run_lo_sharded(42, k, /*workers=*/1);
-    EXPECT_EQ(serial, run_lo_sharded(42, k, /*workers=*/1))
+    EXPECT_EQ(run_lo_sharded(42, k), run_lo_sharded(42, k))
         << "sharded LO replay diverged at k=" << k;
-    EXPECT_EQ(serial, run_lo_sharded(42, k, /*workers=*/4))
-        << "sharded LO parallel run diverged from serial at k=" << k;
   }
 }
 
@@ -204,11 +183,10 @@ TEST(Determinism, LoShardedSameSeedSameTraceAcrossWorkers) {
 // incarnation-bump refutations and the rejoin path all ride the same seeded
 // RNG and epoch-scoped timers, so the full detector state and the member
 // event feed must replay bit-for-bit too.
-std::string run_lo_membership(std::uint64_t seed, unsigned workers = 1) {
+std::string run_lo_membership(std::uint64_t seed) {
   auto cfg = test::net_cfg(12, seed);
   cfg.trace = true;
   cfg.city_latency = false;
-  cfg.workers = workers;
   cfg.node.membership.enabled = true;
   cfg.node.membership.protocol_period = 500 * sim::kMillisecond;
   cfg.node.membership.ping_timeout = 120 * sim::kMillisecond;
@@ -251,24 +229,16 @@ TEST(Determinism, LoMembershipSameSeedSameTrace) {
   EXPECT_EQ(a, b) << "membership-enabled LO runs diverged under seed replay";
 }
 
-TEST(Determinism, LoMembershipParallelMatchesSerial) {
-  // Membership adds SWIM probes, churn and epoch-scoped timers on top of the
-  // sync protocol — the hardest scheduling surface we have.
-  EXPECT_EQ(run_lo_membership(77, /*workers=*/1),
-            run_lo_membership(77, /*workers=*/4));
-}
-
 // -------------------------------------------------------------- baselines ----
 
 template <typename NodeT>
 std::string run_baseline(const typename NodeT::Config& node_cfg,
-                         std::uint64_t seed, unsigned workers = 1) {
+                         std::uint64_t seed) {
   baselines::BaselineNetConfig cfg;
   cfg.num_nodes = 12;
   cfg.seed = seed;
   cfg.city_latency = true;
   cfg.trace = true;
-  cfg.workers = workers;
   baselines::BaselineNetwork<NodeT> net(cfg, node_cfg);
   net.start_workload(test::load_cfg(20.0, seed + 1000));
   net.run_for(10.0);
@@ -312,48 +282,15 @@ TEST(Determinism, NarwhalSameSeedSameTrace) {
             run_baseline<baselines::NarwhalNode>(cfg, 7));
 }
 
-TEST(Determinism, FloodParallelWorkersMatchSerial) {
-  baselines::FloodNode::Config cfg;
-  cfg.prevalidation.sig_mode = test::kFastSig;
-  const std::string serial = run_baseline<baselines::FloodNode>(cfg, 7, 1);
-  for (unsigned w : {2u, 4u, 8u}) {
-    EXPECT_EQ(serial, run_baseline<baselines::FloodNode>(cfg, 7, w))
-        << "flood baseline diverged at workers=" << w;
-  }
-}
-
-TEST(Determinism, PeerReviewParallelWorkersMatchSerial) {
-  baselines::PeerReviewNode::Config cfg;
-  cfg.prevalidation.sig_mode = test::kFastSig;
-  const std::string serial =
-      run_baseline<baselines::PeerReviewNode>(cfg, 7, 1);
-  for (unsigned w : {2u, 4u, 8u}) {
-    EXPECT_EQ(serial, run_baseline<baselines::PeerReviewNode>(cfg, 7, w))
-        << "peerreview baseline diverged at workers=" << w;
-  }
-}
-
-TEST(Determinism, NarwhalParallelWorkersMatchSerial) {
-  baselines::NarwhalNode::Config cfg;
-  cfg.prevalidation.sig_mode = test::kFastSig;
-  const std::string serial = run_baseline<baselines::NarwhalNode>(cfg, 7, 1);
-  for (unsigned w : {2u, 4u, 8u}) {
-    EXPECT_EQ(serial, run_baseline<baselines::NarwhalNode>(cfg, 7, w))
-        << "narwhal baseline diverged at workers=" << w;
-  }
-}
-
 // ------------------------------------------------------- causal span layer ----
 
 // A short sharded run with block production: the richest causal surface
 // (gossip, sync, batch-commit bridges, leader timers) at a size that keeps
-// the W x k matrix cheap.
-std::vector<std::uint8_t> causal_trace_bytes(unsigned workers,
-                                             std::uint32_t k) {
+// the k sweep cheap.
+std::vector<std::uint8_t> causal_trace_bytes(std::uint32_t k) {
   auto cfg = test::net_cfg(8, 5, /*malicious_fraction=*/0.125);
   cfg.trace = true;
   cfg.node.mempool_shards = k;
-  cfg.workers = workers;
   harness::LoNetwork net(cfg);
   net.start_workload(test::load_cfg(15.0, 1005));
   consensus::LeaderConfig lc;
@@ -364,18 +301,15 @@ std::vector<std::uint8_t> causal_trace_bytes(unsigned workers,
   return net.sim().obs().tracer.bytes();
 }
 
-// ISSUE 10 acceptance: span/parent ids are derived from simulator event keys,
-// so the full causal trace — not just the event payloads — is byte-identical
-// across worker counts, for flat and sharded mempools alike.
-TEST(Determinism, CausalTraceByteIdenticalAcrossWorkersAndShards) {
+// Span/parent ids are derived from simulator event keys, so the full causal
+// trace — not just the event payloads — is byte-identical on same-seed
+// replay, for flat and sharded mempools alike.
+TEST(Determinism, CausalTraceSameSeedSameBytes) {
   for (std::uint32_t k : {1u, 4u}) {
-    const auto serial = causal_trace_bytes(/*workers=*/1, k);
-    EXPECT_FALSE(serial.empty());
-    for (unsigned workers : {2u, 4u}) {
-      EXPECT_EQ(serial, causal_trace_bytes(workers, k))
-          << "causal trace diverged between serial and " << workers
-          << " workers at k=" << k;
-    }
+    const auto first = causal_trace_bytes(k);
+    EXPECT_FALSE(first.empty());
+    EXPECT_EQ(first, causal_trace_bytes(k))
+        << "causal trace replay diverged at k=" << k;
   }
 }
 
@@ -384,7 +318,7 @@ TEST(Determinism, CausalTraceByteIdenticalAcrossWorkersAndShards) {
 // the property loscope's critical-path walk relies on.
 TEST(Determinism, CausalSpansFormACrossNodeHappensBeforeDag) {
   const auto file =
-      obs::Tracer::from_bytes(causal_trace_bytes(/*workers=*/1, /*k=*/1));
+      obs::Tracer::from_bytes(causal_trace_bytes(/*k=*/1));
   ASSERT_FALSE(file.events.empty());
 
   std::map<std::uint64_t, std::vector<const obs::TraceEvent*>> by_span;

@@ -278,6 +278,36 @@ TEST(Tracer, OverflowDropsOldestAndCounts) {
   ASSERT_EQ(evs.size(), 4u);
   // Drop-oldest: the survivors are the most recent four, in order.
   for (std::uint64_t i = 0; i < 4; ++i) EXPECT_EQ(evs[i].a, i + 3);
+  // clear() after a wrap restarts the ring at its first slot.
+  t.clear();
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    t.emit(obs::EventKind::kTxSubmit, 0, 0, /*a=*/10 + i);
+  }
+  const auto refill = t.events();
+  ASSERT_EQ(refill.size(), 3u);
+  for (std::uint64_t i = 0; i < 3; ++i) EXPECT_EQ(refill[i].a, 10 + i);
+
+  // A partial fill, clear(), then an overfill: the ring restarts empty and
+  // wraps exactly as it did from a fresh tracer.
+  obs::Tracer u(/*capacity=*/4);
+  u.enable(true);
+  for (std::uint64_t i = 0; i < 2; ++i) {
+    u.emit(obs::EventKind::kTxSubmit, 0, 0, /*a=*/100 + i);
+  }
+  EXPECT_EQ(u.size(), 2u);
+  u.clear();
+  EXPECT_EQ(u.size(), 0u);
+  EXPECT_EQ(u.dropped(), 0u);
+  EXPECT_TRUE(u.events().empty());
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    u.emit(obs::EventKind::kTxSubmit, 0, 0, /*a=*/i);
+  }
+  EXPECT_EQ(u.size(), 4u);
+  EXPECT_EQ(u.dropped(), 2u);
+  const auto after = u.events();
+  ASSERT_EQ(after.size(), 4u);
+  for (std::uint64_t i = 0; i < 4; ++i) EXPECT_EQ(after[i].a, i + 2);
+  EXPECT_EQ(obs::Tracer::from_bytes(u.bytes()).events.size(), 4u);
 }
 
 TEST(Tracer, InternIsStableAndClearKeepsNames) {

@@ -163,6 +163,13 @@ struct TruncParam {
   std::size_t items;
 };
 
+// Names each case by its fields; gtest's default byte dump would include the
+// padding after `bits`, which differs from build to build.
+void PrintTo(const TruncParam& p, std::ostream* os) {
+  *os << "bits" << p.bits << "_full" << p.full << "_trunc" << p.trunc
+      << "_items" << p.items;
+}
+
 class SketchTruncationProperty : public ::testing::TestWithParam<TruncParam> {};
 
 TEST_P(SketchTruncationProperty, PrefixIsSmallerSketch) {

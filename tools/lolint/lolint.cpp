@@ -734,10 +734,10 @@ void check_mutable_static(const FileInput& f, const TuIndex& idx,
       out->push_back(
           {f.path, s.line, "mutable-static",
            std::string("mutable ") + where + " '" + s.name +
-               "' — process-global mutable state cannot be sharded by the "
-               "parallel DES; make it const, move it into an owned object, "
-               "or annotate: // lolint:allow(mutable-static) reason=<why "
-               "single-threaded access is guaranteed>"});
+               "' — process-global mutable state is shared by every "
+               "simulation in the process; make it const, move it into an "
+               "owned object, or annotate: // lolint:allow(mutable-static) "
+               "reason=<why single-threaded access is guaranteed>"});
     }
   }
 }

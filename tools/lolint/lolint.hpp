@@ -23,7 +23,7 @@
 // Concurrency-readiness rules (v2, symbol-aware — see symbols.hpp):
 //   [mutable-static]    non-const namespace-scope variable, class-level
 //                       static, or function-local static outside tests/ —
-//                       shared mutable state the parallel DES cannot shard.
+//                       state shared by every simulation in the process.
 //   [unguarded-field]   a mutable member of a class that declares any
 //                       LO_GUARDED_BY field, written from a (non-ctor)
 //                       method, without its own capability annotation.
