@@ -3,12 +3,14 @@
 // the same series the paper reports. Scales default to laptop-friendly sizes
 // (see DESIGN.md, substitution 3) and are overridable via argv:
 //   bench_figX [num_nodes] [seconds] [seed]
+// Stdout carries only seeded, simulated-time values, so the same argv prints
+// the same bytes in every build (the golden.* ctest entries pin it; see
+// bench/CMakeLists.txt). Wall-clock values go to stderr.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "harness/lo_network.hpp"
@@ -57,66 +59,5 @@ inline void print_header(const char* title, const char* paper_ref) {
   std::printf("reproduces: %s\n", paper_ref);
   std::printf("================================================================\n");
 }
-
-// Minimal machine-readable results writer for the figure-reproduction
-// binaries, mirroring the google-benchmark JSON schema that bench_crypto and
-// bench_minisketch emit (top-level "context" + "benchmarks" array with
-// name/iterations/real_time/items_per_second), so one parser handles every
-// BENCH_*.json artifact CI uploads.
-class JsonReport {
- public:
-  JsonReport(std::string path, std::string suite)
-      : path_(std::move(path)), suite_(std::move(suite)) {}
-
-  // `real_time_ns` is the (simulated or measured) duration backing the rate;
-  // `items_per_second` is the headline series value for the figure.
-  void add(const std::string& name, double real_time_ns,
-           double items_per_second) {
-    entries_.push_back({name, real_time_ns, items_per_second});
-  }
-
-  // Writes the file; returns false (and prints to stderr) on I/O failure so
-  // smoke runs notice a missing artifact.
-  bool write() const {
-    std::FILE* f = std::fopen(path_.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", path_.c_str());
-      return false;
-    }
-    std::fprintf(f, "{\n  \"context\": {\n    \"bench_suite\": \"%s\"\n  },\n",
-                 suite_.c_str());
-    std::fprintf(f, "  \"benchmarks\": [\n");
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      const auto& e = entries_[i];
-      std::fprintf(f,
-                   "    {\n"
-                   "      \"name\": \"%s\",\n"
-                   "      \"run_name\": \"%s\",\n"
-                   "      \"run_type\": \"iteration\",\n"
-                   "      \"iterations\": 1,\n"
-                   "      \"real_time\": %.6g,\n"
-                   "      \"cpu_time\": %.6g,\n"
-                   "      \"time_unit\": \"ns\",\n"
-                   "      \"items_per_second\": %.6g\n"
-                   "    }%s\n",
-                   e.name.c_str(), e.name.c_str(), e.real_time_ns,
-                   e.real_time_ns, e.items_per_second,
-                   i + 1 < entries_.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    return true;
-  }
-
- private:
-  struct Entry {
-    std::string name;
-    double real_time_ns;
-    double items_per_second;
-  };
-  std::string path_;
-  std::string suite_;
-  std::vector<Entry> entries_;
-};
 
 }  // namespace lo::bench

@@ -17,10 +17,6 @@ int main(int argc, char** argv) {
   std::printf("%-14s %-26s %-26s\n", "workload[tps]", "sync-recons/node/min",
               "sketch-decodes/node/min");
 
-  // Machine-readable copy of both series (same schema as BENCH_crypto.json /
-  // BENCH_minisketch.json); CI uploads it as an artifact.
-  lo::bench::JsonReport report("BENCH_reconcile.json", "lo-reconcile");
-
   for (double tps : {2.0, 5.0, 10.0, 20.0, 40.0, 80.0}) {
     auto cfg = lo::bench::base_config(args.num_nodes, args.seed);
     lo::harness::LoNetwork net(cfg);
@@ -38,15 +34,7 @@ int main(int argc, char** argv) {
     const double recon_rate = static_cast<double>(recons) / nodes / minutes;
     const double decode_rate = static_cast<double>(decodes) / nodes / minutes;
     std::printf("%-14.0f %-26.1f %-26.1f\n", tps, recon_rate, decode_rate);
-    const double horizon_ns = args.seconds * 1e9;  // simulated horizon
-    report.add("Fig10/SyncReconsPerNodeMin/tps:" +
-                   std::to_string(static_cast<int>(tps)),
-               horizon_ns, recon_rate);
-    report.add("Fig10/SketchDecodesPerNodeMin/tps:" +
-                   std::to_string(static_cast<int>(tps)),
-               horizon_ns, decode_rate);
   }
-  if (!report.write()) return 1;
   std::printf(
       "\nexpected shape: reconciliation rate grows with the workload and\n"
       "saturates near the sync budget (3 neighbors x 60 rounds per minute).\n"

@@ -9,7 +9,8 @@
 // Everything is driven by two seeds (network and fault injector), so every
 // run of this binary prints exactly the same trace. With a trace path the
 // event tracer records the whole run (crashes, drops, reconciliations);
-// `./build/tools/lotrace` converts the capture for the Perfetto UI.
+// `./build/tools/loscope <trace> chrome` converts the capture for the
+// Perfetto UI.
 #include <cstdio>
 
 #include "harness/lo_network.hpp"

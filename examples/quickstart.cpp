@@ -10,7 +10,7 @@
 //
 // With a trace path, the deterministic event tracer records every message,
 // commitment and tx-lifecycle event; convert the capture for the Perfetto UI
-// (https://ui.perfetto.dev) with `./build/tools/lotrace trace.lotrace`.
+// (https://ui.perfetto.dev) with `./build/tools/loscope trace.lotrace chrome`.
 #include <cstdio>
 
 #include "harness/lo_network.hpp"
@@ -87,8 +87,9 @@ int main(int argc, char** argv) {
   std::printf("after inspection: %zu/%zu miners blame the creator (expect 0)\n",
               blamed, net.size());
 
-  // 6. Observability artifacts: the binary event trace (lotrace converts it
-  //    to Perfetto JSON) and a registry snapshot of every metric in the run.
+  // 6. Observability artifacts: the binary event trace (`loscope chrome`
+  //    converts it to Perfetto JSON) and a registry snapshot of every metric
+  //    in the run.
   if (trace_path != nullptr) {
     auto& tracer = net.sim().obs().tracer;
     if (!tracer.write_file(trace_path)) return 1;

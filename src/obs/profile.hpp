@@ -6,8 +6,10 @@
 // fixed-size table. The counters are *deterministic* — they count work, not
 // time (no clocks anywhere in src/obs/; lolint enforces it) — so profiling
 // can stay on in determinism tests. When disabled (the default) the entire
-// cost is one load + predictable branch per site; the bench guard
-// (BENCH_obs.json) proves the disabled path is within noise.
+// cost is one load + predictable branch per site. e2ebench's untraced runs
+// pay exactly that, so a slower disabled path shows as a lower `sim_speed`
+// on every workload; its traced run measures the enabled cost
+// (`obs.trace_ns_per_event`, `obs.trace_setup_s`).
 //
 // The table is process-global rather than per-registry because the hooks sit
 // in layers (crypto, gf) that know nothing about which simulation is

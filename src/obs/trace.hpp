@@ -18,8 +18,9 @@
 // Export paths:
 //   bytes() / write_file()  - canonical little-endian binary ("LOTR"), the
 //                             stream the determinism digests cover;
-//   chrome_json()           - Chrome/Perfetto trace-event JSON (tools/lotrace
-//                             converts the binary form offline).
+//   chrome_json()           - Chrome/Perfetto trace-event JSON (`loscope
+//                             <trace> chrome` converts the binary form
+//                             offline).
 #pragma once
 
 #include <cstdint>
@@ -209,7 +210,7 @@ class Tracer {
   std::vector<std::uint8_t> bytes() const;
   bool write_file(const std::string& path) const;
 
-  // Parsed binary trace (what tools/lotrace and tools/loscope consume).
+  // Parsed binary trace (what tools/loscope consumes).
   // Throws util::SerdeError on malformed input (bad magic, unknown version,
   // truncated body, out-of-range name id, trailing bytes). Version 1 files
   // (40-byte events, pre-causal) are still readable: span/parent load as 0.

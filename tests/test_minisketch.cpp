@@ -49,6 +49,12 @@ struct SketchParam {
   std::size_t diff;
 };
 
+// Names each case by its fields; gtest's default byte dump would include the
+// padding after `bits`, which differs from build to build.
+void PrintTo(const SketchParam& p, std::ostream* os) {
+  *os << "bits" << p.bits << "_cap" << p.capacity << "_diff" << p.diff;
+}
+
 class SketchRoundTrip : public ::testing::TestWithParam<SketchParam> {};
 
 TEST_P(SketchRoundTrip, MergeDecodesSymmetricDifference) {

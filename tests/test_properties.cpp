@@ -200,6 +200,13 @@ struct SerdeParam {
   std::size_t appends;
 };
 
+// Named by fields, like TruncParam: the byte dump would include the padding
+// after `clock_hashes`.
+void PrintTo(const SerdeParam& p, std::ostream* os) {
+  *os << "cap" << p.sketch_capacity << "_cells" << p.clock_cells << "_hashes"
+      << p.clock_hashes << "_appends" << p.appends;
+}
+
 class CommitmentSerdeProperty : public ::testing::TestWithParam<SerdeParam> {};
 
 TEST_P(CommitmentSerdeProperty, RoundTripAndVerify) {

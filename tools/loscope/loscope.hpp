@@ -1,8 +1,9 @@
 // loscope — causal transaction forensics over LOTR traces (DESIGN.md §5).
 //
-// Where lotrace converts a trace for visual inspection, loscope *answers
-// questions*: it indexes the causal span layer (TraceEvent.span/parent) and
-// the per-transaction lifecycle events into a queryable model, then derives
+// Besides converting a trace to Chrome/Perfetto JSON for visual inspection
+// (`loscope <trace> chrome`), loscope *answers questions*: it indexes the
+// causal span layer (TraceEvent.span/parent) and the per-transaction
+// lifecycle events into a queryable model, then derives
 //
 //   lineage     the full cross-node story of one transaction — submit,
 //               gossip hops, commitment, reconcile/sync recovery, block
