@@ -11,7 +11,9 @@
 //     verifier, kept in the tree as a differential oracle ("before");
 //   BM_Ed25519Verify          — window-table + Straus verify ("after");
 //   BM_Ed25519VerifyPrepared  — same, with the public key decompressed once;
-//   BM_VerifyCache*           — the node-level LRU/memo layers on top.
+//   BM_VerifyCache*           — the node-level LRU/memo layers on top;
+//   BM_VerifyTierHit          — a node's memo miss served by the verdict
+//     tier that every node of a simulation shares.
 //
 // Besides the console table, this binary always writes machine-readable
 // results to BENCH_crypto.json in the working directory (google-benchmark
@@ -20,6 +22,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -168,6 +171,7 @@ BENCHMARK(BM_Ed25519VerifyPrepared)->Unit(benchmark::kMicrosecond);
 
 // Full VerifyCache path on fresh messages from one key: every call is a memo
 // miss (capacity 1) but a key-cache hit — curve math plus cache overhead.
+// The cache's verdict tier holds one verdict too, so it misses as well.
 void BM_VerifyCacheKeyHitFreshMessage(benchmark::State& state) {
   const auto kp = derive_keypair(7, SignatureMode::kEd25519);
   Signer s(kp, SignatureMode::kEd25519);
@@ -179,6 +183,8 @@ void BM_VerifyCacheKeyHitFreshMessage(benchmark::State& state) {
     sigs.push_back(s.sign(msgs.back()));
   }
   VerifyCache cache(/*key_capacity=*/8, /*memo_capacity=*/1);
+  cache.set_tier(std::make_shared<VerifyTier>(/*key_capacity=*/8,
+                                              /*verdict_capacity=*/1));
   std::size_t i = 0;
   for (auto _ : state) {
     bool ok = cache.verify(SignatureMode::kEd25519, kp.pub, msgs[i % kBatch],
@@ -207,6 +213,41 @@ void BM_VerifyCacheMemoHit(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_VerifyCacheMemoHit);
+
+// A node's memo miss on a verdict another node already paid for: the
+// node's memo (capacity 1) misses on every call and the key hits, as in
+// BM_VerifyCacheKeyHitFreshMessage, but the shared VerifyTier holds every
+// verdict, so no call runs the curve check. Most fresh verifies of a
+// 100-node run take this path (DESIGN.md "verify fast path").
+void BM_VerifyTierHit(benchmark::State& state) {
+  const auto kp = derive_keypair(7, SignatureMode::kEd25519);
+  Signer s(kp, SignatureMode::kEd25519);
+  constexpr std::size_t kBatch = 64;
+  std::vector<std::vector<std::uint8_t>> msgs;
+  std::vector<Signature> sigs;
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    msgs.push_back(random_bytes(250, 100 + i));
+    sigs.push_back(s.sign(msgs.back()));
+  }
+  const auto tier = std::make_shared<VerifyTier>();
+  VerifyCache first;
+  first.set_tier(tier);
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    bool ok = first.verify(SignatureMode::kEd25519, kp.pub, msgs[i], sigs[i]);
+    benchmark::DoNotOptimize(ok);
+  }
+  VerifyCache cache(/*key_capacity=*/8, /*memo_capacity=*/1);
+  cache.set_tier(tier);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    bool ok = cache.verify(SignatureMode::kEd25519, kp.pub, msgs[i % kBatch],
+                           sigs[i % kBatch]);
+    benchmark::DoNotOptimize(ok);
+    ++i;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_VerifyTierHit);
 
 void BM_SimFastSign(benchmark::State& state) {
   const Signer s(derive_keypair(9, SignatureMode::kSimFast),

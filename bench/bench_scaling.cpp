@@ -179,8 +179,9 @@ int main(int argc, char** argv) {
   // ---- membership under churn + adaptive reconciliation ----
   const std::size_t mem_n = 32;
   // Horizon long enough for several crash/confirm cycles at the default
-  // scale; the 1 s horizon of golden.bench_scaling yields zero-confirm rows.
-  const double mem_seconds = std::max(args.seconds, 1.0);
+  // scale, and at least 10 s: below that no crash is confirmed, and the
+  // 1 s run that golden.bench_scaling pins would print zero-confirm rows.
+  const double mem_seconds = std::max(args.seconds, 10.0);
   std::printf("\nmembership (%zu nodes, %.0fs horizon, SWIM period 0.5s):\n",
               mem_n, mem_seconds);
   std::printf("  %-14s %-16s %-16s %-20s %-10s\n", "churn-gap[s]",

@@ -113,6 +113,13 @@ class LoNode final : public sim::INode {
   // falls back to the neighbor set otherwise.
   void set_member_universe(std::vector<NodeId> members);
 
+  // Shares `tier` (the verdicts and decompressed keys behind every node's
+  // verify cache) with this node; the node's own cache counters and probes
+  // are unchanged (see crypto::VerifyCache).
+  void set_verify_tier(std::shared_ptr<crypto::VerifyTier> tier) noexcept {
+    verify_cache_.set_tier(std::move(tier));
+  }
+
   MaliciousBehavior& behavior() noexcept { return behavior_; }
   const MaliciousBehavior& behavior() const noexcept { return behavior_; }
 
@@ -347,10 +354,11 @@ class LoNode final : public sim::INode {
   // their peers. Empty unless behavior_.equivocate.
   std::vector<CommitmentLog> fork_logs_;
 
-  // Per-node verification fast path: decompressed peer keys + memoized
-  // verdicts. Pure memoization of deterministic functions, so it survives
-  // crash() (a restarted node re-deriving a verdict gets the same answer);
-  // it never consumes randomness or alters message flow.
+  // Per-node verification fast path: the peer keys and verdicts this node
+  // has seen, over the simulation's shared tier. Pure memoization of
+  // deterministic functions, so it survives crash() (a restarted node
+  // re-deriving a verdict gets the same answer); it never consumes
+  // randomness or alters message flow.
   crypto::VerifyCache verify_cache_;
 
   std::unordered_map<TxId, Transaction, TxIdHash> store_;

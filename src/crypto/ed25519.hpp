@@ -150,7 +150,8 @@ class ExpandedSecret {
 // A public key decompressed once and reused across verifications. The
 // expensive half of a cold verify is reconstructing A from its 32-byte
 // encoding (a field exponentiation for the square root); peers sign many
-// messages with the same key, so crypto::VerifyCache keeps these in an LRU.
+// messages with the same key, so crypto::VerifyTier keeps these in an LRU
+// that every node of a simulation shares.
 struct PreparedPublicKey {
   PublicKey encoded;  // original wire encoding; feeds the challenge hash
   detail::Ge point;   // decompressed A

@@ -107,16 +107,21 @@ Sha256& Sha256::update(std::span<const std::uint8_t> data) noexcept {
 }
 
 Digest256 Sha256::finalize() noexcept {
+  // Padding: 0x80, zeros up to byte 56 of a block, then the bit length as
+  // 8 big-endian bytes. It spills into a second block when fewer than 9
+  // bytes of the buffered one are free.
   const std::uint64_t bit_len = length_ * 8;
-  const std::uint8_t pad = 0x80;
-  update(std::span<const std::uint8_t>(&pad, 1));
-  const std::uint8_t zero = 0x00;
-  while (buf_len_ != 56) update(std::span<const std::uint8_t>(&zero, 1));
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  buf_[buf_len_++] = 0x80;
+  if (buf_len_ > 56) {
+    std::memset(buf_ + buf_len_, 0, 64 - buf_len_);
+    compress(buf_);
+    buf_len_ = 0;
   }
-  update(std::span<const std::uint8_t>(len_be, 8));
+  std::memset(buf_ + buf_len_, 0, 56 - buf_len_);
+  for (int i = 0; i < 8; ++i) {
+    buf_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  }
+  compress(buf_);
 
   Digest256 out;
   for (int i = 0; i < 8; ++i) {

@@ -122,19 +122,22 @@ Sha512& Sha512::update(std::span<const std::uint8_t> data) noexcept {
 }
 
 Digest512 Sha512::finalize() noexcept {
-  // Message length is appended as a 128-bit big-endian bit count; our byte
-  // counter is 64-bit, which bounds messages at 2^61 bytes — far beyond any
-  // simulation payload.
+  // Padding as in SHA-256, on 128-byte blocks: 0x80, zeros up to byte 112,
+  // then the bit length as a 128-bit big-endian count. Our byte counter is
+  // 64-bit, which bounds messages at 2^61 bytes — far beyond any simulation
+  // payload — so the count's upper 8 bytes are zero.
   const std::uint64_t bit_len = length_ * 8;
-  const std::uint8_t pad = 0x80;
-  update(std::span<const std::uint8_t>(&pad, 1));
-  const std::uint8_t zero = 0x00;
-  while (buf_len_ != 112) update(std::span<const std::uint8_t>(&zero, 1));
-  std::uint8_t len_be[16] = {0};
-  for (int i = 0; i < 8; ++i) {
-    len_be[8 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  buf_[buf_len_++] = 0x80;
+  if (buf_len_ > 112) {
+    std::memset(buf_ + buf_len_, 0, 128 - buf_len_);
+    compress(buf_);
+    buf_len_ = 0;
   }
-  update(std::span<const std::uint8_t>(len_be, 16));
+  std::memset(buf_ + buf_len_, 0, 120 - buf_len_);
+  for (int i = 0; i < 8; ++i) {
+    buf_[120 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  }
+  compress(buf_);
 
   Digest512 out;
   for (int i = 0; i < 8; ++i) {

@@ -4,6 +4,28 @@
 
 namespace lo::crypto {
 
+namespace {
+constexpr std::uint64_t kKeyTier = 0;
+constexpr std::uint64_t kMemoTier = 1;
+}  // namespace
+
+const PreparedPublicKey* VerifyTier::prepared_key(const PublicKey& pub) {
+  if (const PreparedPublicKey* key = keys_.find(pub)) return key;
+  auto prepared = ed25519_prepare(pub);
+  if (!prepared) return nullptr;
+  return &keys_.insert(pub, *prepared);
+}
+
+bool VerifyTier::verify(const Digest256& memo_key, const PublicKey& pub,
+                        std::span<const std::uint8_t> msg,
+                        const Signature& sig) {
+  if (const bool* ok = verdicts_.find(memo_key)) return *ok;
+  const PreparedPublicKey* key = prepared_key(pub);
+  const bool ok = key != nullptr && ed25519_verify_prepared(*key, msg, sig);
+  verdicts_.insert(memo_key, ok);
+  return ok;
+}
+
 void VerifyCache::bind(obs::Scope scope) {
   scope_ = std::move(scope);
   const VerifyCacheStats carry = stats();
@@ -18,29 +40,16 @@ void VerifyCache::bind(obs::Scope scope) {
   local_stats_ = VerifyCacheStats{};
 }
 
-const PreparedPublicKey* VerifyCache::prepared_key(const PublicKey& pub) {
-  const auto it = key_index_.find(pub);
-  if (it != key_index_.end()) {
-    ++key_hits();
-    if (tracer_ != nullptr) {
-      tracer_->emit(obs::EventKind::kCacheProbe, trace_node_, 0, 1, 0);
-    }
-    key_lru_.splice(key_lru_.begin(), key_lru_, it->second);
-    return &key_lru_.front().prepared;
+void VerifyCache::probe(bool hit, std::uint64_t tier) noexcept {
+  if (tier == kMemoTier) {
+    ++(hit ? memo_hits() : memo_misses());
+  } else {
+    ++(hit ? key_hits() : key_misses());
   }
-  ++key_misses();
   if (tracer_ != nullptr) {
-    tracer_->emit(obs::EventKind::kCacheProbe, trace_node_, 0, 0, 0);
+    tracer_->emit(obs::EventKind::kCacheProbe, trace_node_, 0, hit ? 1 : 0,
+                  tier);
   }
-  auto prepared = ed25519_prepare(pub);
-  if (!prepared) return nullptr;
-  if (key_index_.size() >= key_capacity_) {
-    key_index_.erase(key_lru_.back().key);
-    key_lru_.pop_back();
-  }
-  key_lru_.push_front(KeyEntry{pub, *prepared});
-  key_index_.emplace(pub, key_lru_.begin());
-  return &key_lru_.front().prepared;
 }
 
 bool VerifyCache::verify(SignatureMode mode, const PublicKey& pub,
@@ -56,37 +65,29 @@ bool VerifyCache::verify(SignatureMode mode, const PublicKey& pub,
   h.update(msg);
   const Digest256 memo_key = h.finalize();
 
-  const auto it = memo_index_.find(memo_key);
-  if (it != memo_index_.end()) {
-    ++memo_hits();
-    if (tracer_ != nullptr) {
-      tracer_->emit(obs::EventKind::kCacheProbe, trace_node_, 0, 1, 1);
-    }
-    memo_lru_.splice(memo_lru_.begin(), memo_lru_, it->second);
-    return memo_lru_.front().ok;
+  if (const bool* ok = memo_.find(memo_key)) {
+    probe(true, kMemoTier);
+    return *ok;
   }
-  ++memo_misses();
-  if (tracer_ != nullptr) {
-    tracer_->emit(obs::EventKind::kCacheProbe, trace_node_, 0, 0, 1);
+  probe(false, kMemoTier);
+
+  // A node on its own would decompress here on a key miss; it keeps only
+  // well-formed keys, so a malformed one misses every time.
+  if (keys_.find(pub) != nullptr) {
+    probe(true, kKeyTier);
+  } else {
+    probe(false, kKeyTier);
+    if (tier_->prepared_key(pub) != nullptr) keys_.insert(pub, Seen{});
   }
 
-  const PreparedPublicKey* key = prepared_key(pub);
-  const bool ok = key != nullptr && ed25519_verify_prepared(*key, msg, sig);
-
-  if (memo_index_.size() >= memo_capacity_) {
-    memo_index_.erase(memo_lru_.back().key);
-    memo_lru_.pop_back();
-  }
-  memo_lru_.push_front(MemoEntry{memo_key, ok});
-  memo_index_.emplace(memo_key, memo_lru_.begin());
+  const bool ok = tier_->verify(memo_key, pub, msg, sig);
+  memo_.insert(memo_key, ok);
   return ok;
 }
 
 void VerifyCache::clear() {
-  key_index_.clear();
-  key_lru_.clear();
-  memo_index_.clear();
-  memo_lru_.clear();
+  keys_.clear();
+  memo_.clear();
 }
 
 }  // namespace lo::crypto

@@ -52,15 +52,28 @@ void poly_sqr_into(const Field& f, const Poly& p, Poly& out) {
   poly_trim(out);
 }
 
+namespace {
+
+// The inverse of b's leading coefficient. The root finder divides by monic
+// polynomials (split() makes each one monic first), so 1 skips the
+// inversion.
+std::uint64_t lead_inverse(const Field& f, const Poly& b) {
+  const std::uint64_t lead = b.back();
+  return lead == 1 ? 1 : f.inv(lead);
+}
+
+}  // namespace
+
 void poly_mod_inplace(const Field& f, Poly& a, const Poly& b) {
   const int db = poly_deg(b);
   int da = poly_deg(a);
   if (da < db) return;
-  const std::uint64_t lead_inv = f.inv(b[static_cast<std::size_t>(db)]);
+  const std::uint64_t lead_inv = lead_inverse(f, b);
   while (da >= db) {
     const auto ida = static_cast<std::size_t>(da);
     if (a[ida] != 0) {
-      const std::uint64_t factor = f.mul(a[ida], lead_inv);
+      const std::uint64_t factor =
+          lead_inv == 1 ? a[ida] : f.mul(a[ida], lead_inv);
       const std::size_t shift = static_cast<std::size_t>(da - db);
       f.fma_row(factor, b.data(), a.data() + shift,
                 static_cast<std::size_t>(db));
@@ -80,11 +93,12 @@ void poly_divmod_inplace(const Field& f, Poly& a, const Poly& b, Poly& q) {
     return;
   }
   q.assign(static_cast<std::size_t>(da - db) + 1, 0);
-  const std::uint64_t lead_inv = f.inv(b[static_cast<std::size_t>(db)]);
+  const std::uint64_t lead_inv = lead_inverse(f, b);
   while (da >= db) {
     const auto ida = static_cast<std::size_t>(da);
     if (a[ida] != 0) {
-      const std::uint64_t factor = f.mul(a[ida], lead_inv);
+      const std::uint64_t factor =
+          lead_inv == 1 ? a[ida] : f.mul(a[ida], lead_inv);
       const std::size_t shift = static_cast<std::size_t>(da - db);
       q[shift] = factor;
       f.fma_row(factor, b.data(), a.data() + shift,

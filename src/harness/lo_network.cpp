@@ -103,6 +103,7 @@ LoNetwork::LoNetwork(const NetworkConfig& config)
     auto node = std::make_unique<core::LoNode>(
         sim_, static_cast<core::NodeId>(i), config.node, keys, &hooks_);
     if (malicious_[i]) node->behavior() = config.malicious;
+    node->set_verify_tier(verify_tier_);
     const core::NodeId id = sim_.add_node(node.get());
     (void)id;
     nodes_.push_back(std::move(node));

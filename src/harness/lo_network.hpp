@@ -139,6 +139,10 @@ class LoNetwork {
   // Aggregate verification-cache hit/miss counters over all nodes (perf
   // diagnostics for the verify fast path; see DESIGN.md).
   crypto::VerifyCacheStats total_verify_cache_stats() const;
+  // The verdicts and decompressed keys every node's verify cache shares.
+  const crypto::VerifyTier& verify_tier() const noexcept {
+    return *verify_tier_;
+  }
 
   // --- running ---
   void run_for(double seconds);
@@ -200,6 +204,11 @@ class LoNetwork {
   NetworkConfig config_;
   sim::Simulator sim_;
   overlay::Topology topology_;
+  // One verdict and key tier behind every node's verify cache: a verdict is
+  // a pure function of its bytes, so each distinct signature is checked once
+  // per simulation (DESIGN.md §3c). Declared before nodes_, which share it.
+  std::shared_ptr<crypto::VerifyTier> verify_tier_ =
+      std::make_shared<crypto::VerifyTier>();
   std::vector<std::unique_ptr<core::LoNode>> nodes_;
   std::vector<bool> malicious_;
   std::size_t malicious_count_ = 0;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "crypto/sha256.hpp"
 #include "crypto/sha512.hpp"
 #include "crypto/verify_cache.hpp"
+#include "obs/profile.hpp"
 #include "util/hex.hpp"
 #include "util/rng.hpp"
 
@@ -52,15 +54,27 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   }
 }
 
+struct PaddingVector {
+  std::size_t len;  // of a message of that many 'x' bytes
+  const char* hex;  // Python's hashlib
+};
+
 TEST(Sha256, PaddingBoundaries) {
-  // Lengths around the 55/56/64-byte padding edge must all be distinct and
-  // reproducible.
-  std::set<std::string> seen;
-  for (std::size_t len : {54u, 55u, 56u, 57u, 63u, 64u, 65u, 119u, 120u}) {
-    const std::string m(len, 'x');
-    const auto d = to_hex(sha256(m));
-    EXPECT_TRUE(seen.insert(d).second);
-    EXPECT_EQ(d, to_hex(sha256(m)));
+  // Every padding edge: at 55 bytes (mod 64) the 0x80 and the 8-byte length
+  // just fit the last block, at 56-63 they spill into a second one, and at
+  // 0 and 64 they fill a block of their own; 119 and 120 repeat the first
+  // two one block later.
+  const PaddingVector kVectors256[] = {
+      {0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {55, "d5e285683cd4efc02d021a5c62014694958901005d6f71e89e0989fac77e4072"},
+      {56, "04c26261370ee7541549d16dee320c723e3fd14671e66a099afe0a377c16888e"},
+      {63, "75220b47218278e656f2013bb8f0c455a25eaf01e86c64924e9d48d89776d6f2"},
+      {64, "7ce100971f64e7001e8fe5a51973ecdfe1ced42befe7ee8d5fd6219506b5393c"},
+      {119, "000b48d4edf0fa7bee3c6236ecd2785baa5db4eeb8bb54341b029e0d9fa5fb0c"},
+      {120, "13f05a0b594787f5ecd315edc96141bd3243203d1b7d4f0836f37308b276ba98"},
+  };
+  for (const auto& v : kVectors256) {
+    EXPECT_EQ(to_hex(sha256(std::string(v.len, 'x'))), v.hex) << v.len;
   }
 }
 
@@ -73,6 +87,31 @@ TEST(Sha512, NistVectors) {
   EXPECT_EQ(to_hex(sha512("abc")),
             "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a"
             "2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f");
+}
+
+TEST(Sha512, PaddingBoundaries) {
+  // The same edges on 128-byte blocks with a 16-byte length field: 111
+  // fits, 112-127 spill, 0 and 128 pad a block of their own, and 239 and 240
+  // repeat the first two one block later.
+  const PaddingVector kVectors512[] = {
+      {0, "cf83e1357eefb8bdf1542850d66d8007d620e4050b5715dc83f4a921d36ce9ce"
+          "47d0d13c5d85f2b0ff8318d2877eec2f63b931bd47417a81a538327af927da3e"},
+      {111, "9a2a120825c2319867758ec277924f6faa254968bf752046dacdd948d8ad299b"
+            "10359fd04bfd7d3810b5fa1b16a294236138baff981cbb85248478053ac4d3dd"},
+      {112, "a3722b515ef40c910f2419f6e0da8ca51d410114ce6272faae64045f9e9f630e"
+            "7fa8dd5a3243c9860b899d148c3da4bc0f9e07454542604d030bb55531fe0d5b"},
+      {127, "1d5a8893e7b7ed83d485d26f88cfb846f3760279916976fe538e539fc16f7cd1"
+            "9ba3e1c2cd5fda78749a74205755cdf694e8fa90b2bfed8815f406af76c1d7bf"},
+      {128, "e2e22f8422b54b06e35c3ea30a383d1de7a8fbc27992923074103117020d8dd7"
+            "024c3ecf7d6d1a15a6de5a75ff32fb486b9e8ced4c02ffe05822bf2cb734d0e0"},
+      {239, "805c40517b44cef414a06c632b4ee9c21d34c85a84c3f9530274db86e2a3e38c"
+            "b0e54025666b925426bd6860f81538abbfab13011e85767d814a245d232a6044"},
+      {240, "3e05caa7e0fddab685e6052bd902c316505180504344d00b1217e1349a532d1d"
+            "0e5ce4b24d69eea3aca369dc16d8bbdf872b2fe1770e0e1aad22f84e0519bc6c"},
+  };
+  for (const auto& v : kVectors512) {
+    EXPECT_EQ(to_hex(sha512(std::string(v.len, 'x'))), v.hex) << v.len;
+  }
 }
 
 TEST(Sha512, TwoBlockMessage) {
@@ -815,6 +854,183 @@ TEST(VerifyCacheTest, ClearKeepsCountersDropsEntries) {
   // Still correct after clear.
   EXPECT_TRUE(cache.verify(SignatureMode::kEd25519, kp.pub, msg, sig));
   EXPECT_EQ(cache.stats().memo_misses, 2u);
+}
+
+// ------------------------------------------------- shared verify tier ------
+// Caches sharing one VerifyTier do less curve work and nothing else: every
+// verdict, counter and entry is what caches with private tiers produce.
+
+// Ed25519 verifies (curve checks) made while alive, from the profile table.
+class CurveChecks {
+ public:
+  CurveChecks() {
+    obs::profile::reset();
+    obs::profile::set_enabled(true);
+  }
+  ~CurveChecks() {
+    obs::profile::set_enabled(false);
+    obs::profile::reset();
+  }
+  CurveChecks(const CurveChecks&) = delete;
+  CurveChecks& operator=(const CurveChecks&) = delete;
+  std::uint64_t count() const {
+    return obs::profile::counters(obs::ProfileSite::kEd25519Verify).calls;
+  }
+};
+
+void expect_same_stats(const VerifyCache& a, const VerifyCache& b) {
+  EXPECT_EQ(a.stats().key_hits, b.stats().key_hits);
+  EXPECT_EQ(a.stats().key_misses, b.stats().key_misses);
+  EXPECT_EQ(a.stats().memo_hits, b.stats().memo_hits);
+  EXPECT_EQ(a.stats().memo_misses, b.stats().memo_misses);
+  EXPECT_EQ(a.key_cache_size(), b.key_cache_size());
+  EXPECT_EQ(a.memo_size(), b.memo_size());
+}
+
+TEST(VerifyTierTest, SecondCacheRunsNoCurveCheck) {
+  const auto kp = derive_keypair(50, SignatureMode::kEd25519);
+  Signer s(kp, SignatureMode::kEd25519);
+  const std::vector<std::uint8_t> msg{4, 5, 6};
+  const auto sig = s.sign(msg);
+  const auto tier = std::make_shared<VerifyTier>();
+  VerifyCache first;
+  VerifyCache second;
+  first.set_tier(tier);
+  second.set_tier(tier);
+
+  const CurveChecks checks;
+  ASSERT_TRUE(first.verify(SignatureMode::kEd25519, kp.pub, msg, sig));
+  EXPECT_EQ(checks.count(), 1u);
+  EXPECT_TRUE(second.verify(SignatureMode::kEd25519, kp.pub, msg, sig));
+  EXPECT_EQ(checks.count(), 1u) << "the second node re-ran the curve check";
+  // The second node still counts what it would have paid alone.
+  EXPECT_EQ(second.stats().memo_misses, 1u);
+  EXPECT_EQ(second.stats().key_misses, 1u);
+  EXPECT_EQ(tier->verdict_count(), 1u);
+  EXPECT_EQ(tier->key_count(), 1u);
+}
+
+TEST(VerifyTierTest, StatsEqualPrivateTierCaches) {
+  // One call sequence, fed to two caches on one tier and to two caches with
+  // a tier each: accepts, duplicates, rejects, a malformed key, and more
+  // keys than the per-node key LRU holds.
+  std::vector<Signer> signers;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    signers.emplace_back(derive_keypair(60 + i, SignatureMode::kEd25519),
+                         SignatureMode::kEd25519);
+  }
+  struct Call {
+    std::size_t cache;
+    PublicKey pub;
+    std::vector<std::uint8_t> msg;
+    Signature sig;
+  };
+  std::vector<Call> calls;
+  for (std::uint8_t round = 0; round < 3; ++round) {
+    for (std::size_t k = 0; k < signers.size(); ++k) {
+      const std::vector<std::uint8_t> msg{round, static_cast<std::uint8_t>(k)};
+      const auto sig = signers[k].sign(msg);
+      auto bad = sig;
+      bad[40] ^= 0x04;
+      calls.push_back({0, signers[k].public_key(), msg, sig});
+      calls.push_back({1, signers[k].public_key(), msg, sig});
+      calls.push_back({round % 2u, signers[k].public_key(), msg, bad});
+      calls.push_back({1, non_canonical_encoding(false), msg, sig});
+    }
+  }
+
+  const auto tier = std::make_shared<VerifyTier>();
+  std::array<VerifyCache, 2> shared = {VerifyCache(2, 8), VerifyCache(2, 8)};
+  std::array<VerifyCache, 2> own = {VerifyCache(2, 8), VerifyCache(2, 8)};
+  for (auto& c : shared) c.set_tier(tier);
+
+  const auto run = [](VerifyCache& cache, const Call& c,
+                      std::uint64_t* curve_checks) {
+    const CurveChecks checks;
+    const bool ok = cache.verify(SignatureMode::kEd25519, c.pub, c.msg, c.sig);
+    *curve_checks += checks.count();
+    return ok;
+  };
+  std::uint64_t shared_checks = 0;
+  std::uint64_t own_checks = 0;
+  for (const auto& c : calls) {
+    const bool via_shared = run(shared[c.cache], c, &shared_checks);
+    EXPECT_EQ(via_shared, run(own[c.cache], c, &own_checks));
+  }
+  for (std::size_t i = 0; i < 2; ++i) expect_same_stats(shared[i], own[i]);
+  EXPECT_LT(shared_checks, own_checks);
+}
+
+TEST(VerifyTierTest, FlippedBitRejectedAfterSharedAccept) {
+  const auto kp = derive_keypair(70, SignatureMode::kEd25519);
+  Signer s(kp, SignatureMode::kEd25519);
+  const std::vector<std::uint8_t> msg{8, 8, 8, 8};
+  const auto sig = s.sign(msg);
+  const auto tier = std::make_shared<VerifyTier>();
+  VerifyCache first;
+  VerifyCache second;
+  first.set_tier(tier);
+  second.set_tier(tier);
+  ASSERT_TRUE(first.verify(SignatureMode::kEd25519, kp.pub, msg, sig));
+
+  auto pub2 = kp.pub;
+  pub2[3] ^= 0x10;
+  auto sig2 = sig;
+  sig2[17] ^= 0x01;
+  auto msg2 = msg;
+  msg2[2] ^= 0x80;
+  EXPECT_FALSE(second.verify(SignatureMode::kEd25519, pub2, msg, sig));
+  EXPECT_FALSE(second.verify(SignatureMode::kEd25519, kp.pub, msg, sig2));
+  EXPECT_FALSE(second.verify(SignatureMode::kEd25519, kp.pub, msg2, sig));
+  EXPECT_EQ(second.stats().memo_hits, 0u);
+  EXPECT_TRUE(second.verify(SignatureMode::kEd25519, kp.pub, msg, sig));
+}
+
+TEST(VerifyTierTest, MalformedKeyNeverStored) {
+  const auto bad_pub = non_canonical_encoding(true);
+  const Signature sig{};
+  const auto tier = std::make_shared<VerifyTier>();
+  VerifyCache first;
+  VerifyCache second;
+  first.set_tier(tier);
+  second.set_tier(tier);
+  EXPECT_FALSE(first.verify(SignatureMode::kEd25519, bad_pub,
+                            std::vector<std::uint8_t>{1}, sig));
+  EXPECT_FALSE(second.verify(SignatureMode::kEd25519, bad_pub,
+                             std::vector<std::uint8_t>{1}, sig));
+  EXPECT_FALSE(second.verify(SignatureMode::kEd25519, bad_pub,
+                             std::vector<std::uint8_t>{2}, sig));
+  EXPECT_EQ(second.stats().key_misses, 2u);
+  EXPECT_EQ(second.key_cache_size(), 0u);
+  EXPECT_EQ(tier->key_count(), 0u);
+}
+
+TEST(VerifyTierTest, CapacityOneEvictsAndReverifies) {
+  const auto tier = std::make_shared<VerifyTier>(/*key_capacity=*/1,
+                                                 /*verdict_capacity=*/1);
+  VerifyCache first;
+  VerifyCache second;
+  first.set_tier(tier);
+  second.set_tier(tier);
+  const auto ka = derive_keypair(80, SignatureMode::kEd25519);
+  const auto kb = derive_keypair(81, SignatureMode::kEd25519);
+  const std::vector<std::uint8_t> msg{3};
+  const auto sig_a = Signer(ka, SignatureMode::kEd25519).sign(msg);
+  auto bad_b = Signer(kb, SignatureMode::kEd25519).sign(msg);
+  bad_b[0] ^= 0x01;
+
+  const CurveChecks checks;
+  ASSERT_TRUE(first.verify(SignatureMode::kEd25519, ka.pub, msg, sig_a));
+  ASSERT_FALSE(first.verify(SignatureMode::kEd25519, kb.pub, msg, bad_b));
+  EXPECT_EQ(tier->verdict_count(), 1u);
+  EXPECT_EQ(tier->key_count(), 1u);
+  EXPECT_EQ(checks.count(), 2u);
+  // Both tier entries of the accept were evicted: the second cache
+  // re-decompresses and re-verifies, to the same verdicts.
+  EXPECT_TRUE(second.verify(SignatureMode::kEd25519, ka.pub, msg, sig_a));
+  EXPECT_EQ(checks.count(), 3u);
+  EXPECT_FALSE(second.verify(SignatureMode::kEd25519, kb.pub, msg, bad_b));
+  EXPECT_EQ(checks.count(), 4u);
 }
 
 }  // namespace

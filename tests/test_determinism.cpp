@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "baselines/peerreview.hpp"
 #include "crypto/sha256.hpp"
 #include "harness/lo_network.hpp"
+#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "test_net_util.hpp"
 #include "util/ordered.hpp"
@@ -127,6 +129,49 @@ std::string run_lo(std::uint64_t seed) {
   return lo_trace_digest(net);
 }
 
+// Every other LØ run here signs with kSimFast, which bypasses the verify
+// caches. This one uses real Ed25519, once as built (every node on the
+// network's one verdict and key tier) and once with each node on a tier of
+// its own, as if it verified alone. Sharing may change only the amount of
+// curve work: the trace and the registry stay byte-identical.
+struct Ed25519Run {
+  std::vector<std::uint8_t> trace;
+  std::string registry;
+  std::uint64_t curve_checks = 0;  // Ed25519 verifies
+  std::size_t verdicts = 0;        // held by the network's tier
+};
+
+Ed25519Run run_lo_ed25519(bool tier_per_node) {
+  auto cfg = test::net_cfg(16, 42, /*malicious_fraction=*/0.125);
+  cfg.node.sig_mode = crypto::SignatureMode::kEd25519;
+  cfg.node.prevalidation.sig_mode = crypto::SignatureMode::kEd25519;
+  cfg.trace = true;
+  cfg.malicious.ignore_requests = true;
+  cfg.malicious.censor_txs = true;
+  harness::LoNetwork net(cfg);
+  if (tier_per_node) {
+    for (std::size_t i = 0; i < net.size(); ++i) {
+      net.node(i).set_verify_tier(std::make_shared<crypto::VerifyTier>());
+    }
+  }
+  auto load = test::load_cfg(20.0, 1042);
+  load.sig_mode = crypto::SignatureMode::kEd25519;
+  net.start_workload(load);
+  obs::profile::reset();
+  obs::profile::set_enabled(true);
+  net.run_for(8.0);
+  obs::profile::set_enabled(false);
+  Ed25519Run run;
+  run.curve_checks =
+      obs::profile::counters(obs::ProfileSite::kEd25519Verify).calls;
+  obs::profile::reset();
+  run.verdicts = net.verify_tier().verdict_count();
+  run.trace = net.sim().obs().tracer.bytes();
+  net.publish_metrics();
+  run.registry = net.sim().obs().registry.to_json("determinism");
+  return run;
+}
+
 // ------------------------------------------------------------------- LØ ----
 
 TEST(Determinism, LoSameSeedSameTrace) {
@@ -140,6 +185,20 @@ TEST(Determinism, LoDifferentSeedDifferentTrace) {
   // Sanity check that the digest actually observes the run: distinct seeds
   // must produce distinct traces (otherwise the equality test is vacuous).
   EXPECT_NE(run_lo(42), run_lo(43));
+}
+
+TEST(Determinism, SharedVerifyTierChangesOnlyTheWork) {
+  const Ed25519Run shared = run_lo_ed25519(/*tier_per_node=*/false);
+  const Ed25519Run alone = run_lo_ed25519(/*tier_per_node=*/true);
+  EXPECT_TRUE(shared.trace == alone.trace)
+      << "sharing the verify tier changed the event trace";
+  EXPECT_EQ(shared.registry, alone.registry);
+  EXPECT_GT(shared.curve_checks, 0u);
+  // One curve check per distinct triple: nothing verified around the tier.
+  EXPECT_EQ(shared.curve_checks, shared.verdicts);
+  EXPECT_LE(3 * shared.curve_checks, alone.curve_checks)
+      << shared.curve_checks << " shared vs " << alone.curve_checks
+      << " with a tier per node";
 }
 
 // ---------------------------------------------- sharded pipeline digests ----

@@ -159,11 +159,16 @@ TEST(Poly, MulDivRoundTrip) {
     Poly a, b;
     for (int i = 0; i < 5; ++i) a.push_back(f.map_nonzero(rng.next()));
     for (int i = 0; i < 3; ++i) b.push_back(f.map_nonzero(rng.next()));
-    const Poly prod = poly_mul(f, a, b);
-    EXPECT_EQ(poly_deg(prod), poly_deg(a) + poly_deg(b));
-    // prod / b == a and prod mod b == 0.
-    EXPECT_EQ(poly_div(f, prod, b), a);
-    EXPECT_TRUE(poly_mod(f, prod, b).empty());
+    // A random lead, then a monic divisor (the root finder's case, which
+    // skips inverting the lead).
+    for (const bool monic : {false, true}) {
+      if (monic) b.back() = 1;
+      const Poly prod = poly_mul(f, a, b);
+      EXPECT_EQ(poly_deg(prod), poly_deg(a) + poly_deg(b));
+      // prod / b == a and prod mod b == 0.
+      EXPECT_EQ(poly_div(f, prod, b), a) << "monic " << monic;
+      EXPECT_TRUE(poly_mod(f, prod, b).empty()) << "monic " << monic;
+    }
   }
 }
 
@@ -176,10 +181,14 @@ TEST(Poly, ModIsRemainder) {
     for (int i = 0; i < 4; ++i) b.push_back(f.map_nonzero(rng.next()));
     poly_trim(a);
     if (a.empty()) continue;
-    const Poly q = poly_div(f, a, b);
-    const Poly r = poly_mod(f, a, b);
-    EXPECT_LT(poly_deg(r), poly_deg(b));
-    EXPECT_EQ(poly_add(poly_mul(f, q, b), r), a);  // a = qb + r
+    for (const bool monic : {false, true}) {
+      if (monic) b.back() = 1;
+      const Poly q = poly_div(f, a, b);
+      const Poly r = poly_mod(f, a, b);
+      EXPECT_LT(poly_deg(r), poly_deg(b));
+      // a = qb + r
+      EXPECT_EQ(poly_add(poly_mul(f, q, b), r), a) << "monic " << monic;
+    }
   }
 }
 
