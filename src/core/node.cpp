@@ -1155,21 +1155,21 @@ Block LoNode::create_block(std::uint64_t height,
                 obs::short_id(std::span<const std::uint8_t>(
                     block_hash.data(), block_hash.size())),
                 block.tx_count(), 0, block.shard);
-  seen_blocks_.emplace(block_hash, block);
   auto bm = std::make_shared<BlockMsg>();
   bm->block = block;
+  seen_blocks_.emplace(block_hash, bm);
   flood(bm, id_);
   return block;
 }
 
-void LoNode::handle_block(NodeId from, const BlockMsg& msg) {
-  if (msg.block.shard >= k_) return;
-  const auto h = msg.block.hash();
-  if (!seen_blocks_.emplace(h, msg.block).second) return;
-  if (config_.verify_signatures && !msg.block.verify(config_.sig_mode, &verify_cache_)) return;
-  if (!behavior_.drop_gossip) flood(std::make_shared<BlockMsg>(msg), from);
-  if (msg.block.creator == id_) return;
-  inspect_known_block(msg.block);
+void LoNode::handle_block(NodeId from, std::shared_ptr<const BlockMsg> msg) {
+  const Block& block = msg->block;
+  if (block.shard >= k_) return;
+  if (!seen_blocks_.emplace(block.hash(), msg).second) return;
+  if (config_.verify_signatures && !block.verify(config_.sig_mode, &verify_cache_)) return;
+  if (!behavior_.drop_gossip) flood(msg, from);
+  if (block.creator == id_) return;
+  inspect_known_block(block);
 }
 
 void LoNode::inspect_known_block(const Block& block) {
@@ -1309,7 +1309,7 @@ void LoNode::handle_bundle_response(NodeId from, const BundleResponse& resp) {
     blocks_awaiting_bundles_.erase(it);
     for (const auto& h : hashes) {
       auto bit = seen_blocks_.find(h);
-      if (bit != seen_blocks_.end()) inspect_known_block(bit->second);
+      if (bit != seen_blocks_.end()) inspect_known_block(bit->second->block);
     }
   }
 }
@@ -1467,7 +1467,7 @@ void LoNode::on_message(NodeId from, const sim::PayloadPtr& msg) {
   } else if (const auto* m6 = dynamic_cast<const ExposureMsg*>(msg.get())) {
     handle_exposure(from, *m6);
   } else if (const auto* m7 = dynamic_cast<const BlockMsg*>(msg.get())) {
-    handle_block(from, *m7);
+    handle_block(from, std::shared_ptr<const BlockMsg>(msg, m7));
   } else if (const auto* m8 = dynamic_cast<const BundleRequest*>(msg.get())) {
     handle_bundle_request(from, *m8);
   } else if (const auto* m9 = dynamic_cast<const BundleResponse*>(msg.get())) {

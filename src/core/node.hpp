@@ -289,7 +289,7 @@ class LoNode final : public sim::INode {
   void clear_coverage_if_met(NodeId peer, std::uint32_t shard);
 
   // --- blocks (Stage III/IV) ---
-  void handle_block(NodeId from, const BlockMsg& msg);
+  void handle_block(NodeId from, std::shared_ptr<const BlockMsg> msg);
   void handle_bundle_request(NodeId from, const BundleRequest& req);
   void handle_bundle_response(NodeId from, const BundleResponse& resp);
   void inspect_known_block(const Block& block);
@@ -399,7 +399,11 @@ class LoNode final : public sim::INode {
   // signing is deterministic, so the stored bytes are exactly what signing
   // again would produce; like verify_cache_, it survives crash().
   std::unordered_map<std::uint64_t, crypto::Signature> own_bundle_sigs_;
-  std::unordered_map<crypto::Digest256, Block, TxIdHash> seen_blocks_;
+  // The payload each block arrived in (or was flooded in, for our own):
+  // one copy per block, shared with every neighbour it is forwarded to.
+  std::unordered_map<crypto::Digest256, std::shared_ptr<const BlockMsg>,
+                     TxIdHash>
+      seen_blocks_;
   std::unordered_set<std::uint64_t> seen_suspicions_;  // key(reporter, epoch)
   std::unordered_set<NodeId> seen_exposures_;
   std::unordered_map<std::uint64_t, std::vector<crypto::Digest256>>

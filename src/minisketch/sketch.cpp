@@ -91,12 +91,12 @@ void Sketch::clear() noexcept {
 }
 
 std::optional<std::vector<std::uint64_t>> Sketch::decode() const {
-  // The sketch layer owns one Decoder per thread: every decode entry point
+  // The sketch layer owns one Decoder per process: every decode entry point
   // (node reconciliation, consistency checks, the partitioned reconciler)
   // shares its warmed-up buffers, so steady-state decoding is allocation-free
   // apart from the returned vector.
-  // lolint:allow(thread-local-protocol) reason=per-thread decode workspace is the documented exception; capacity is clamped by Decoder::decode's high-water check
-  thread_local Decoder decoder;
+  // lolint:allow(mutable-static) reason=scratch buffers only: each decode overwrites what it reads and seeds its root finder from the sketch, so no output depends on their contents; Decoder::clamp_workspace bounds their capacity
+  static Decoder decoder;
   return decoder.decode(*this);
 }
 

@@ -11,8 +11,9 @@
 // Sketches reference shared immutable Field instances (Field::get), so a
 // sketch is just its syndrome vector: copies are cheap and the ~17 KB of
 // field tables are built once per process. Decoding goes through a reusable
-// Decoder workspace; Sketch::decode() uses a sketch-layer thread-local one,
-// so steady-state decodes are allocation-free apart from the result vector.
+// Decoder workspace; Sketch::decode() uses one sketch-layer instance per
+// process, so steady-state decodes are allocation-free apart from the result
+// vector.
 #pragma once
 
 #include <cstdint>
@@ -92,7 +93,7 @@ class Sketch {
 // Reusable decode workspace: full-syndrome expansion, Berlekamp–Massey
 // buffers, root-finder workspace and the overflow-check syndromes all keep
 // their capacity between calls. decode() results are identical to
-// Sketch::decode() — which delegates to a thread-local Decoder — byte for
+// Sketch::decode() — which delegates to the sketch layer's Decoder — byte for
 // byte; owning one explicitly just pins the buffer reuse to a call site.
 class Decoder {
  public:
@@ -105,7 +106,7 @@ class Decoder {
 
  private:
   // One oversized decode (e.g. a full-capacity partitioned escalation) must
-  // not pin its peak allocation for the life of the thread-local decoder:
+  // not pin its peak allocation for the life of the sketch layer's decoder:
   // every kClampWindow decodes, if the retained buffers exceed kClampSlack
   // times what the window's largest request needed, the workspace is
   // released back down to that high-water mark.

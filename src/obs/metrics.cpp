@@ -163,8 +163,8 @@ void LogHistogram::clear() {
   buckets_.clear();
 }
 
-Registry::Cell& Registry::cell_locked(std::string_view name,
-                                      const Labels& labels, MetricKind kind) {
+Registry::Cell& Registry::cell(std::string_view name, const Labels& labels,
+                               MetricKind kind) {
   const std::string id = metric_id(name, labels);
   auto [it, inserted] = cells_.try_emplace(id);
   if (inserted) {
@@ -177,67 +177,29 @@ Registry::Cell& Registry::cell_locked(std::string_view name,
   return it->second;
 }
 
-// The returned references escape the critical section by design: cell
-// addresses are stable (std::map nodes) and each cell is single-writer.
-// See the header's concurrency-model note.
 std::uint64_t& Registry::counter(std::string_view name, const Labels& labels) {
-  MutexLock lock(mu_);
-  return cell_locked(name, labels, MetricKind::kCounter).counter;
+  return cell(name, labels, MetricKind::kCounter).counter;
 }
 
 double& Registry::gauge(std::string_view name, const Labels& labels) {
-  MutexLock lock(mu_);
-  return cell_locked(name, labels, MetricKind::kGauge).gauge;
+  return cell(name, labels, MetricKind::kGauge).gauge;
 }
 
 LogHistogram& Registry::histogram(std::string_view name, const Labels& labels) {
-  MutexLock lock(mu_);
-  return cell_locked(name, labels, MetricKind::kHistogram).hist;
+  return cell(name, labels, MetricKind::kHistogram).hist;
 }
 
 bool Registry::contains(std::string_view name, const Labels& labels) const {
-  const std::string id = metric_id(name, labels);
-  MutexLock lock(mu_);
-  return cells_.find(id) != cells_.end();
+  return cells_.find(metric_id(name, labels)) != cells_.end();
 }
 
-std::size_t Registry::size() const {
-  MutexLock lock(mu_);
-  return cells_.size();
-}
+std::size_t Registry::size() const { return cells_.size(); }
 
-Registry::Snapshot Registry::snapshot() const {
-  MutexLock lock(mu_);
-  return cells_;
-}
+Registry::Snapshot Registry::snapshot() const { return cells_; }
 
-void Registry::clear() {
-  MutexLock lock(mu_);
-  cells_.clear();
-}
-
-void Registry::merge(const Snapshot& other) {
-  MutexLock lock(mu_);
-  for (const auto& [id, src] : other) {
-    auto [it, inserted] = cells_.try_emplace(id);
-    Cell& dst = it->second;
-    if (inserted) {
-      dst.kind = src.kind;
-    } else if (dst.kind != src.kind) {
-      throw std::invalid_argument("metric kind mismatch merging " + id);
-    }
-    dst.counter += src.counter;
-    dst.gauge += src.gauge;
-    dst.hist.merge(src.hist);
-  }
-}
+void Registry::clear() { cells_.clear(); }
 
 std::string Registry::to_json(std::string_view suite) const {
-  MutexLock lock(mu_);
-  return to_json_locked(suite);
-}
-
-std::string Registry::to_json_locked(std::string_view suite) const {
   std::string out;
   out += "{\n  \"context\": {\n    \"bench_suite\": \"";
   json_escape_to(out, suite);
@@ -300,11 +262,6 @@ std::string Registry::to_json_locked(std::string_view suite) const {
 }
 
 std::string Registry::to_csv() const {
-  MutexLock lock(mu_);
-  return to_csv_locked();
-}
-
-std::string Registry::to_csv_locked() const {
   std::string out = "id,kind,value,count,sum,min,max,p50,p95,p99\n";
   for (const auto& [id, c] : cells_) {
     out += id;

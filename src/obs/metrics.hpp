@@ -1,13 +1,13 @@
 // Deterministic metrics registry (observability layer, part 1).
 //
 // Named, labeled counters / gauges / log-bucketed histograms with stable cell
-// addresses, per-node scopes (label-prefixed views), snapshot/merge for
+// addresses, per-node scopes (label-prefixed views), snapshot/rollup for
 // per-node -> global aggregation, and JSON + CSV export shaped like the
 // bench_common reports so one parser handles every artifact CI uploads.
 //
 // Determinism rules (lolint-enforced for all of src/obs/): no wall clocks and
 // no unordered-container iteration. Cells live in a std::map keyed by the
-// canonical metric id, so every export, snapshot and merge walks in
+// canonical metric id, so every export, snapshot and rollup walks in
 // lexicographic order and same-seed runs produce byte-identical files.
 //
 // Cell addresses are stable (std::map nodes), so hot paths hold a
@@ -23,9 +23,6 @@
 #include <string_view>
 #include <utility>
 #include <vector>
-
-#include "obs/sync.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace lo::obs {
 
@@ -94,19 +91,13 @@ class Registry {
     LogHistogram hist;
   };
   // A snapshot is a value copy of the cell map: cheap to take mid-run,
-  // mergeable offline, and exactly what the exporters consume.
+  // foldable offline (rollup), and exactly what the exporters consume.
   using Snapshot = std::map<std::string, Cell>;
 
   // Get-or-create. References stay valid for the registry's lifetime
   // (std::map node stability); re-registering with a different kind under the
-  // same id throws std::invalid_argument.
-  //
-  // Concurrency model (DESIGN.md §4d): the internal mutex guards the cell
-  // *map* — registration, snapshot, merge and export are safe from any
-  // thread. The returned value references deliberately escape the lock: a
-  // cell is single-writer (owned by the thread that registered it),
-  // and cross-thread aggregation goes through snapshot()/merge(), never
-  // through a shared cell handle.
+  // same id throws std::invalid_argument. Each simulation owns its registry
+  // (obs::Hub), so a cell is written only by the simulation that owns it.
   std::uint64_t& counter(std::string_view name, const Labels& labels = {});
   double& gauge(std::string_view name, const Labels& labels = {});
   LogHistogram& histogram(std::string_view name, const Labels& labels = {});
@@ -115,13 +106,6 @@ class Registry {
   std::size_t size() const;
   Snapshot snapshot() const;
   void clear();
-
-  // Merges `other` into this registry: counters and histogram buckets add,
-  // gauges add (the aggregate of per-node gauges is their sum — e.g. total
-  // mempool size). Same id with a different kind throws. This is the
-  // per-thread -> global aggregation path: threads merge snapshots of their
-  // private registries into a shared one, serialized by its mutex.
-  void merge(const Snapshot& other);
 
   // bench_common-style JSON ({"context": {...}, "metrics": [...]}) and flat
   // CSV. Both walk the cell map in key order: byte-identical across
@@ -134,18 +118,16 @@ class Registry {
   bool write_csv(const std::string& path) const;
 
  private:
-  Cell& cell_locked(std::string_view name, const Labels& labels,
-                    MetricKind kind) LO_REQUIRES(mu_);
-  std::string to_json_locked(std::string_view suite) const LO_REQUIRES(mu_);
-  std::string to_csv_locked() const LO_REQUIRES(mu_);
+  Cell& cell(std::string_view name, const Labels& labels, MetricKind kind);
 
-  mutable Mutex mu_;
-  Snapshot cells_ LO_GUARDED_BY(mu_);
+  Snapshot cells_;
 };
 
 // The "global scope" view of a labeled snapshot: strips labels and sums
 // same-named cells (e.g. "lo.retries{node=3}" and "lo.retries{node=7}" fold
-// into "lo.retries"). Kind conflicts across a name throw.
+// into "lo.retries"): counters and histogram buckets add, and gauges add
+// (the aggregate of per-node gauges is their sum, e.g. total mempool size).
+// Kind conflicts across a name throw.
 Registry::Snapshot rollup(const Registry::Snapshot& snap);
 
 // A label-scoped view of a registry: every metric created through the scope

@@ -19,9 +19,9 @@ const char* profile_site_name(ProfileSite s) noexcept {
 
 namespace profile {
 
-// lolint:allow(mutable-static) reason=process-global profile table for hooks in layers (crypto, gf) that know no simulation; written only while profiling is on, which only single-threaded runs turn on
+// lolint:allow(mutable-static) reason=process-global profile table for hooks in layers (crypto, gf) that know no simulation; it counts work and feeds no protocol decision, and a caller that reads it resets it around the one simulation it measures
 bool g_enabled = false;
-// lolint:allow(mutable-static) reason=process-global profile table for hooks in layers (crypto, gf) that know no simulation; written only while profiling is on, which only single-threaded runs turn on
+// lolint:allow(mutable-static) reason=process-global profile table for hooks in layers (crypto, gf) that know no simulation; it counts work and feeds no protocol decision, and a caller that reads it resets it around the one simulation it measures
 std::array<ProfileCounters, static_cast<std::size_t>(ProfileSite::kCount)>
     g_counters{};
 

@@ -42,9 +42,9 @@ struct ProfileCounters {
 
 namespace profile {
 
-// lolint:allow(mutable-static) reason=process-global profile table for hooks in layers (crypto, gf) that know no simulation; written only while profiling is on, which only single-threaded runs turn on
+// lolint:allow(mutable-static) reason=process-global profile table for hooks in layers (crypto, gf) that know no simulation; it counts work and feeds no protocol decision, and a caller that reads it resets it around the one simulation it measures
 extern bool g_enabled;
-// lolint:allow(mutable-static) reason=process-global profile table for hooks in layers (crypto, gf) that know no simulation; written only while profiling is on, which only single-threaded runs turn on
+// lolint:allow(mutable-static) reason=process-global profile table for hooks in layers (crypto, gf) that know no simulation; it counts work and feeds no protocol decision, and a caller that reads it resets it around the one simulation it measures
 extern std::array<ProfileCounters,
                   static_cast<std::size_t>(ProfileSite::kCount)>
     g_counters;

@@ -101,7 +101,6 @@ std::uint64_t short_id(std::span<const std::uint8_t> bytes) noexcept {
 }
 
 Tracer::Tracer(std::size_t capacity) : capacity_(capacity) {
-  MutexLock lock(mu_);
   if (capacity_ == 0) throw std::invalid_argument("tracer capacity 0");
   names_.emplace_back();  // id 0 = ""
 }
@@ -110,7 +109,6 @@ void Tracer::enable(bool on) { enabled_ = on; }
 
 void Tracer::set_capacity(std::size_t capacity) {
   if (capacity == 0) throw std::invalid_argument("tracer capacity 0");
-  MutexLock lock(mu_);
   capacity_ = capacity;
   ring_.clear();
   ring_.shrink_to_fit();
@@ -118,35 +116,8 @@ void Tracer::set_capacity(std::size_t capacity) {
   dropped_ = 0;
 }
 
-std::size_t Tracer::capacity() const {
-  MutexLock lock(mu_);
-  return capacity_;
-}
-
-std::size_t Tracer::size() const {
-  MutexLock lock(mu_);
-  return ring_.size();
-}
-
-std::uint64_t Tracer::dropped() const {
-  MutexLock lock(mu_);
-  return dropped_;
-}
-
-namespace {
-// Current causal context (see Tracer::Cause). Thread-local so simulations
-// running on different threads of one process keep separate causes: the
-// simulator sets it around every dispatch on the thread that runs it.
-thread_local Tracer::Cause t_cause;
-}  // namespace
-
-void Tracer::set_thread_cause(Cause c) noexcept { t_cause = c; }
-
-Tracer::Cause Tracer::thread_cause() noexcept { return t_cause; }
-
 std::uint16_t Tracer::intern(std::string_view s) {
   if (s.empty()) return 0;
-  MutexLock lock(mu_);
   auto it = intern_.find(s);
   if (it != intern_.end()) return it->second;
   if (names_.size() > 0xFFFF) throw std::length_error("tracer intern table full");
@@ -157,15 +128,11 @@ std::uint16_t Tracer::intern(std::string_view s) {
 }
 
 std::string Tracer::name(std::uint16_t id) const {
-  MutexLock lock(mu_);
   if (id >= names_.size()) throw std::out_of_range("unknown interned name");
   return names_[id];
 }
 
-std::vector<std::string> Tracer::names() const {
-  MutexLock lock(mu_);
-  return names_;
-}
+std::vector<std::string> Tracer::names() const { return names_; }
 
 void Tracer::record(EventKind kind, std::uint32_t node, std::uint32_t peer,
                     std::uint64_t a, std::uint64_t b, std::uint16_t name,
@@ -179,10 +146,8 @@ void Tracer::record(EventKind kind, std::uint32_t node, std::uint32_t peer,
   ev.aux = aux;
   ev.a = a;
   ev.b = b;
-  const Cause c = thread_cause();
-  ev.span = c.span;
-  ev.parent = c.parent;
-  MutexLock lock(mu_);
+  ev.span = cause_.span;
+  ev.parent = cause_.parent;
   if (ring_.size() < capacity_) {
     if (ring_.empty()) ring_.reserve(capacity_);
     ring_.push_back(ev);
@@ -193,7 +158,7 @@ void Tracer::record(EventKind kind, std::uint32_t node, std::uint32_t peer,
   }
 }
 
-std::vector<TraceEvent> Tracer::events_locked() const {
+std::vector<TraceEvent> Tracer::events() const {
   std::vector<TraceEvent> out;
   out.reserve(ring_.size());
   for (std::size_t i = 0; i < ring_.size(); ++i) {
@@ -202,20 +167,13 @@ std::vector<TraceEvent> Tracer::events_locked() const {
   return out;
 }
 
-std::vector<TraceEvent> Tracer::events() const {
-  MutexLock lock(mu_);
-  return events_locked();
-}
-
 void Tracer::clear() {
-  MutexLock lock(mu_);
   ring_.clear();  // keeps the reservation
   head_ = 0;
   dropped_ = 0;
 }
 
 std::vector<std::uint8_t> Tracer::bytes() const {
-  MutexLock lock(mu_);
   util::Writer w;
   for (std::uint8_t m : kMagic) w.u8(m);
   w.u32(kVersion);

@@ -30,9 +30,6 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/sync.hpp"
-#include "util/thread_annotations.hpp"
-
 namespace lo::obs {
 
 enum class EventKind : std::uint16_t {
@@ -47,8 +44,8 @@ enum class EventKind : std::uint16_t {
   kTxAdmit = 11,    // tx admitted to `node`'s mempool; b = bundle seqno
   kTxFinalize = 12, // first block inclusion observed; b = block height
   kTxCommit = 13,   // tx committed into `node`'s log; b = bundle seqno.
-                    // Causal bridge: `parent` is the span of the admit
-                    // dispatch, re-linking lineage across the batch timer.
+                    // Emitted inside the dispatch that admitted or synced
+                    // the tx, so its span links it to that delivery.
   kTxCensored = 14, // inspection proved `peer` omitted tx `a`; b = block id
   // Commitment lifecycle. create: a = batch size, b = log seqno after the
   // append; observe: peer = creator, a = creator's commitment count.
@@ -132,34 +129,17 @@ class Tracer {
  public:
   static constexpr std::size_t kDefaultCapacity = 1 << 16;
 
-  // The per-thread "current cause": the causal span of the dispatch the
-  // calling thread is currently executing, and that dispatch's own parent.
-  // The simulator sets it around every event dispatch, emit() stamps it into
-  // each recorded event, and send/schedule capture it as the parent of the
-  // events they create. Stored here rather than in sim/ so obs stays
-  // independent of the scheduler.
+  // The "current cause": the causal span of the dispatch the simulator is
+  // executing, and that dispatch's own parent. The simulator sets it around
+  // every event dispatch, emit() stamps it into each recorded event, and
+  // send/schedule capture it as the parent of the events they create. Held
+  // here rather than in sim/ so obs stays independent of the scheduler.
   struct Cause {
     std::uint64_t span = 0;
     std::uint64_t parent = 0;
   };
-  static void set_thread_cause(Cause c) noexcept;
-  static Cause thread_cause() noexcept;
-
-  // RAII re-parent: protocol code wraps an emit in a CauseScope to link it
-  // to an earlier dispatch (e.g. the commit bridge linking back to the admit
-  // span across the batch timer). Restores the previous cause on exit.
-  class CauseScope {
-   public:
-    explicit CauseScope(Cause c) noexcept : prev_(thread_cause()) {
-      set_thread_cause(c);
-    }
-    ~CauseScope() { set_thread_cause(prev_); }
-    CauseScope(const CauseScope&) = delete;
-    CauseScope& operator=(const CauseScope&) = delete;
-
-   private:
-    Cause prev_;
-  };
+  void set_cause(Cause c) noexcept { cause_ = c; }
+  Cause cause() const noexcept { return cause_; }
 
   explicit Tracer(std::size_t capacity = kDefaultCapacity);
 
@@ -174,7 +154,7 @@ class Tracer {
 
   // Changing capacity clears the buffer (ring arithmetic restarts).
   void set_capacity(std::size_t capacity);
-  std::size_t capacity() const;
+  std::size_t capacity() const noexcept { return capacity_; }
 
   // Interns a string, returning its stable id. Ids are assigned in first-use
   // order (deterministic given deterministic call order); id 0 is "". Throws
@@ -183,10 +163,10 @@ class Tracer {
   std::string name(std::uint16_t id) const;
   std::vector<std::string> names() const;
 
-  // Records an event (no-op when disabled). Overflow policy: drop-oldest —
-  // the ring keeps the most recent `capacity` events and counts what it
-  // evicted, so the tail of a long run is always inspectable. The enabled
-  // check stays outside the lock, so the disabled path is one branch.
+  // Records an event (no-op when disabled, at the cost of one branch).
+  // Overflow policy: drop-oldest — the ring keeps the most recent `capacity`
+  // events and counts what it evicted, so the tail of a long run is always
+  // inspectable.
   void emit(EventKind kind, std::uint32_t node, std::uint32_t peer = 0,
             std::uint64_t a = 0, std::uint64_t b = 0, std::uint16_t name = 0,
             std::uint32_t aux = 0) {
@@ -194,8 +174,8 @@ class Tracer {
     record(kind, node, peer, a, b, name, aux);
   }
 
-  std::size_t size() const;
-  std::uint64_t dropped() const;
+  std::size_t size() const noexcept { return ring_.size(); }
+  std::uint64_t dropped() const noexcept { return dropped_; }
 
   // Events oldest -> newest (linearized copy of the ring).
   std::vector<TraceEvent> events() const;
@@ -226,25 +206,19 @@ class Tracer {
   void record(EventKind kind, std::uint32_t node, std::uint32_t peer,
               std::uint64_t a, std::uint64_t b, std::uint16_t name,
               std::uint32_t aux);
-  std::vector<TraceEvent> events_locked() const LO_REQUIRES(mu_);
 
-  // enabled_ and clock_ are configuration: set before the run, read-only
-  // afterwards — deliberately outside mu_ so the disabled fast path stays one
-  // branch. Ring, counters and the intern table are the shared-mutable state
-  // the capability analysis guards.
-  // lolint:allow(unguarded-field) reason=configuration latch set before the run; keeping it lock-free is what makes the disabled path one branch
   bool enabled_ = false;
   const std::int64_t* clock_ = nullptr;
-  mutable Mutex mu_;
-  std::size_t capacity_ LO_GUARDED_BY(mu_);
-  std::size_t head_ LO_GUARDED_BY(mu_) = 0;  // index of the oldest event
-  std::uint64_t dropped_ LO_GUARDED_BY(mu_) = 0;
+  Cause cause_;
+  std::size_t capacity_;
+  std::size_t head_ = 0;  // index of the oldest event
+  std::uint64_t dropped_ = 0;
   // Grows by push_back until it holds `capacity_` events, then wraps: the
   // full capacity is reserved on the first record but only touched as events
   // arrive. head_ stays 0 until the ring is full.
-  std::vector<TraceEvent> ring_ LO_GUARDED_BY(mu_);
-  std::vector<std::string> names_ LO_GUARDED_BY(mu_);
-  std::map<std::string, std::uint16_t, std::less<>> intern_ LO_GUARDED_BY(mu_);
+  std::vector<TraceEvent> ring_;
+  std::vector<std::string> names_;
+  std::map<std::string, std::uint16_t, std::less<>> intern_;
 };
 
 // Chrome/Perfetto trace-event JSON. Every event renders as a thread-scoped

@@ -106,7 +106,7 @@ void Simulator::send(NodeId from, NodeId to, PayloadPtr msg) {
   ev.at = now_ + lat;
   ev.seq = alloc_seq();
   ev.ctx = to;  // the delivery runs in the receiver's context
-  ev.parent = obs::Tracer::thread_cause().span;  // sender dispatch = cause
+  ev.parent = obs_.tracer.cause().span;  // sender dispatch = cause
   ev.fn = [this, dest, to, from, msg = std::move(msg)] {
     if (!node_up(to)) {
       // The receiver went down while the message was in flight.
@@ -135,7 +135,7 @@ void Simulator::schedule(Duration delay, std::function<void()> fn) {
   // Plain callbacks stay in the scheduling context: a node's follow-up work
   // runs as that node; coordinator work stays on the coordinator.
   ev.ctx = cur_exec_ctx_;
-  ev.parent = obs::Tracer::thread_cause().span;
+  ev.parent = obs_.tracer.cause().span;
   ev.fn = std::move(fn);
   queue_.push(std::move(ev));
 }
@@ -153,7 +153,7 @@ void Simulator::schedule_for(NodeId owner, Duration delay,
   ev.at = now_ + delay;
   ev.seq = alloc_seq();
   ev.ctx = owner;  // epoch-pinned timers run in the owner's context
-  ev.parent = obs::Tracer::thread_cause().span;
+  ev.parent = obs_.tracer.cause().span;
   ev.fn = [this, owner, epoch, fn = std::move(fn)] {
     if (!node_up(owner) || node_epoch(owner) != epoch) {
       ++*c_suppressed_callbacks_;
@@ -178,9 +178,9 @@ void Simulator::dispatch(Event& ev) {
   // Causal context for everything this dispatch emits or schedules: the
   // span id is derived from the event key alone (span 0 is reserved for
   // "no cause").
-  obs::Tracer::set_thread_cause({ev.seq + 1, ev.parent});
+  obs_.tracer.set_cause({ev.seq + 1, ev.parent});
   ev.fn();
-  obs::Tracer::set_thread_cause({});
+  obs_.tracer.set_cause({});
   cur_exec_ctx_ = kCoordinatorCtx;
   cur_floor_ = 0;
 }

@@ -116,17 +116,23 @@ std::string lo_trace_digest(harness::LoNetwork& net) {
   return d.hex();
 }
 
-// One full LØ run: malicious minority (silent censors) so that the digest
-// also covers the suspicion/exposure machinery, not just happy-path sync.
-std::string run_lo(std::uint64_t seed) {
+// The network of one full LØ run: malicious minority (silent censors) so
+// that the digest also covers the suspicion/exposure machinery, not just
+// happy-path sync.
+std::unique_ptr<harness::LoNetwork> lo_net(std::uint64_t seed) {
   auto cfg = test::net_cfg(16, seed, /*malicious_fraction=*/0.125);
   cfg.trace = true;  // digest the full event trace, not just the summaries
   cfg.malicious.ignore_requests = true;
   cfg.malicious.censor_txs = true;
-  harness::LoNetwork net(cfg);
-  net.start_workload(test::load_cfg(20.0, seed + 1000));
-  net.run_for(15.0);
-  return lo_trace_digest(net);
+  auto net = std::make_unique<harness::LoNetwork>(cfg);
+  net->start_workload(test::load_cfg(20.0, seed + 1000));
+  return net;
+}
+
+std::string run_lo(std::uint64_t seed) {
+  auto net = lo_net(seed);
+  net->run_for(15.0);
+  return lo_trace_digest(*net);
 }
 
 // Every other LØ run here signs with kSimFast, which bypasses the verify
@@ -185,6 +191,21 @@ TEST(Determinism, LoDifferentSeedDifferentTrace) {
   // Sanity check that the digest actually observes the run: distinct seeds
   // must produce distinct traces (otherwise the equality test is vacuous).
   EXPECT_NE(run_lo(42), run_lo(43));
+}
+
+// Two simulations in one process share every per-process object (statics
+// such as the sketch decode workspace). Advancing two networks in
+// alternating 1 s slices must leave each digest equal to its solo run: the
+// tracer's causes, the registry cells and any workspace stay per simulation.
+TEST(Determinism, InterleavedSimulationsMatchSoloRuns) {
+  auto a = lo_net(42);
+  auto b = lo_net(43);
+  for (int slice = 0; slice < 15; ++slice) {
+    a->run_for(1.0);
+    b->run_for(1.0);
+  }
+  EXPECT_EQ(lo_trace_digest(*a), run_lo(42));
+  EXPECT_EQ(lo_trace_digest(*b), run_lo(43));
 }
 
 TEST(Determinism, SharedVerifyTierChangesOnlyTheWork) {

@@ -37,40 +37,29 @@ using obs::Tracer;
 //   span 6 (parent 5):  t=12ms  node 1 exposes node 2
 void emit_scripted_story(Tracer& t, std::int64_t& now) {
   const auto sync = t.intern("sync");
-  {
-    Tracer::CauseScope cs({1, 0});
-    now = 1000;
-    t.emit(EventKind::kTxSubmit, 0, 0, 0x111);
-    t.emit(EventKind::kMsgSend, 0, 1, 64, 2000, sync);
-  }
-  {
-    Tracer::CauseScope cs({2, 1});
-    now = 3000;
-    t.emit(EventKind::kMsgRecv, 1, 0, 64, 0, sync);
-    t.emit(EventKind::kTxAdmit, 1, 0, 0x111, 7);
-  }
-  {
-    Tracer::CauseScope cs({3, 2});
-    now = 5000;
-    t.emit(EventKind::kTxCommit, 1, 0, 0x111, 7);
-  }
-  {
-    Tracer::CauseScope cs({4, 0});
-    now = 8000;
-    t.emit(EventKind::kBlockBuild, 2, 0, 0xb10c, 3);
-  }
-  {
-    Tracer::CauseScope cs({5, 4});
-    now = 9000;
-    t.emit(EventKind::kBlockInspect, 1, 2, 0xb10c, 7);
-    t.emit(EventKind::kTxCensored, 1, 2, 0x111, 0xb10c);
-    t.emit(EventKind::kSuspect, 1, 2, 0, 0);
-  }
-  {
-    Tracer::CauseScope cs({6, 5});
-    now = 12000;
-    t.emit(EventKind::kExpose, 1, 2, 0, 0);
-  }
+  t.set_cause({1, 0});
+  now = 1000;
+  t.emit(EventKind::kTxSubmit, 0, 0, 0x111);
+  t.emit(EventKind::kMsgSend, 0, 1, 64, 2000, sync);
+  t.set_cause({2, 1});
+  now = 3000;
+  t.emit(EventKind::kMsgRecv, 1, 0, 64, 0, sync);
+  t.emit(EventKind::kTxAdmit, 1, 0, 0x111, 7);
+  t.set_cause({3, 2});
+  now = 5000;
+  t.emit(EventKind::kTxCommit, 1, 0, 0x111, 7);
+  t.set_cause({4, 0});
+  now = 8000;
+  t.emit(EventKind::kBlockBuild, 2, 0, 0xb10c, 3);
+  t.set_cause({5, 4});
+  now = 9000;
+  t.emit(EventKind::kBlockInspect, 1, 2, 0xb10c, 7);
+  t.emit(EventKind::kTxCensored, 1, 2, 0x111, 0xb10c);
+  t.emit(EventKind::kSuspect, 1, 2, 0, 0);
+  t.set_cause({6, 5});
+  now = 12000;
+  t.emit(EventKind::kExpose, 1, 2, 0, 0);
+  t.set_cause({});
 }
 
 TraceModel scripted_model() {

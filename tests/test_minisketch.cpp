@@ -197,7 +197,7 @@ TEST(Sketch, DecodeAtExactCapacityAndOneOver) {
 
 TEST(Sketch, ExplicitDecoderMatchesSketchDecode) {
   // An owned Decoder workspace reused across decodes of different sketches
-  // must match the thread-local path byte for byte, run after run.
+  // must match the shared Sketch::decode path byte for byte, run after run.
   Decoder dec;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     Sketch s(32, 16);
@@ -262,10 +262,10 @@ TEST(Sketch, SupersetDecodesAsGrowth) {
 }
 
 TEST(Decoder, WorkspaceClampsAfterOversizedDecode) {
-  // Regression: the (thread-local) Decoder workspace used to retain the
-  // capacity of the largest decode it ever served. One full-capacity
-  // partitioned escalation would pin ~2 * 512 syndrome slots for the life of
-  // the thread even when every later request needed 16. The high-water clamp
+  // Regression: the shared Decoder workspace used to retain the capacity of
+  // the largest decode it ever served. One full-capacity partitioned
+  // escalation would pin ~2 * 512 syndrome slots for the life of the
+  // process even when every later request needed 16. The high-water clamp
   // releases the buffers once a full observation window of decodes stays
   // well below the retained size.
   Decoder d;

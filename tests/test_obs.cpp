@@ -1,5 +1,5 @@
 // Observability layer tests: metrics registry semantics (ids, labels,
-// scopes, snapshot/merge/rollup), log-bucketed histograms (including the
+// scopes, snapshot/rollup), log-bucketed histograms (including the
 // sim::Samples bridge), tracer ring/overflow/intern/binary round-trip, the
 // Chrome-JSON golden file, profiling hooks, the verify-cache registry bind,
 // and same-seed trace determinism for LØ and one baseline.
@@ -68,23 +68,23 @@ TEST(Registry, CellsAreStableAndTyped) {
 }
 
 TEST(Registry, SnapshotAndMergeAggregate) {
-  obs::Registry a;
-  a.counter("c", {{"node", "0"}}) = 2;
-  a.gauge("g") = 1.0;
-  a.histogram("h").observe(1.0);
+  // A snapshot is a value copy, and rollup() merges same-named cells:
+  // counters and gauges add, histograms merge their buckets.
+  obs::Registry reg;
+  reg.counter("c", {{"node", "0"}}) = 2;
+  reg.counter("c", {{"node", "1"}}) = 5;
+  reg.gauge("g", {{"node", "0"}}) = 1.0;
+  reg.gauge("g", {{"node", "1"}}) = 2.5;
+  reg.histogram("h", {{"node", "0"}}).observe(1.0);
+  reg.histogram("h", {{"node", "1"}}).observe(4.0);
 
-  obs::Registry b;
-  b.counter("c", {{"node", "0"}}) = 5;
-  b.counter("c", {{"node", "1"}}) = 7;
-  b.gauge("g") = 2.5;
-  b.histogram("h").observe(4.0);
-
-  a.merge(b.snapshot());
-  EXPECT_EQ(a.counter("c", {{"node", "0"}}), 7u);
-  EXPECT_EQ(a.counter("c", {{"node", "1"}}), 7u);
-  EXPECT_DOUBLE_EQ(a.gauge("g"), 3.5);
-  EXPECT_EQ(a.histogram("h").count(), 2u);
-  EXPECT_DOUBLE_EQ(a.histogram("h").sum(), 5.0);
+  const auto snap = reg.snapshot();
+  reg.counter("c", {{"node", "0"}}) = 100;  // stays out of the copy
+  const auto global = obs::rollup(snap);
+  EXPECT_EQ(global.at("c").counter, 7u);
+  EXPECT_DOUBLE_EQ(global.at("g").gauge, 3.5);
+  EXPECT_EQ(global.at("h").hist.count(), 2u);
+  EXPECT_DOUBLE_EQ(global.at("h").hist.sum(), 5.0);
 }
 
 TEST(Registry, RollupStripsLabels) {

@@ -655,15 +655,6 @@ std::string resolve_class_key(const Symbols& syms, const FunctionSymbol& fn) {
   return found;
 }
 
-bool is_write_mutator(const std::string& s) {
-  static const std::set<std::string> kMut = {
-      "push_back", "emplace_back", "pop_back", "push",   "pop",
-      "emplace",   "clear",        "insert",   "erase",  "assign",
-      "resize",    "reserve",      "swap",
-  };
-  return kMut.count(s) != 0;
-}
-
 // `.push_back(` / `->resize(` etc. — the grow-only container calls that can
 // allocate on a hot path. tok k must be the method-name identifier.
 bool is_growth_call(const std::vector<Token>& toks, std::size_t k,
@@ -677,53 +668,12 @@ bool is_growth_call(const std::vector<Token>& toks, std::size_t k,
   return k + 1 < end && toks[k + 1].text == "(";
 }
 
-bool is_assign_op(const std::string& s) {
-  static const std::set<std::string> kOps = {
-      "=",  "+=", "-=", "*=", "/=", "%=",
-      "&=", "|=", "^=", "<<=", ">>=", "++", "--",
-  };
-  return kOps.count(s) != 0;
-}
-
-// Scans a function body's tokens for writes to plain identifiers (candidate
-// member fields): assignments, inc/dec, and mutating container calls.
-// `this->x` counts; `other.x` does not (that is another object's field).
-void scan_field_writes(const std::vector<Token>& toks, std::size_t b,
-                       std::size_t e,
-                       std::map<std::string, int>* write_lines) {
-  for (std::size_t k = b; k < e; ++k) {
-    if (toks[k].kind != TokKind::kIdent) continue;
-    const std::string& name = toks[k].text;
-    if (k > b) {
-      const std::string& prev = toks[k - 1].text;
-      if (prev == "." || prev == "->") {
-        const bool via_this = k >= 2 && toks[k - 2].text == "this";
-        if (!via_this) continue;
-      }
-    }
-    bool write = false;
-    if (k + 1 < e && is_assign_op(toks[k + 1].text)) {
-      write = true;
-    } else if (k > b && (toks[k - 1].text == "++" || toks[k - 1].text == "--")) {
-      write = true;
-    } else if (k + 3 < e &&
-               (toks[k + 1].text == "." || toks[k + 1].text == "->") &&
-               toks[k + 2].kind == TokKind::kIdent &&
-               is_write_mutator(toks[k + 2].text) && toks[k + 3].text == "(") {
-      write = true;
-    }
-    if (write && write_lines->find(name) == write_lines->end()) {
-      (*write_lines)[name] = toks[k].line;
-    }
-  }
-}
-
 void check_mutable_static(const FileInput& f, const TuIndex& idx,
                           const AllowIndex& allows,
                           std::vector<Finding>* out) {
   if (is_test_path(f.path)) return;
   for (const auto& s : idx.statics) {
-    if (s.is_const || s.is_thread_local) continue;
+    if (s.is_const) continue;
     if (!allows.allowed(s.line, "mutable-static")) {
       const char* where =
           s.scope == StaticSymbol::Scope::kNamespace
@@ -737,50 +687,8 @@ void check_mutable_static(const FileInput& f, const TuIndex& idx,
                "' — process-global mutable state is shared by every "
                "simulation in the process; make it const, move it into an "
                "owned object, or annotate: // lolint:allow(mutable-static) "
-               "reason=<why single-threaded access is guaranteed>"});
+               "reason=<why sharing it across simulations is safe>"});
     }
-  }
-}
-
-void check_thread_local_protocol(const FileInput& f, const TuIndex& idx,
-                                 const AllowIndex& allows,
-                                 std::vector<Finding>* out) {
-  if (is_test_path(f.path) || is_thread_local_exempt_path(f.path)) return;
-  for (const auto& s : idx.statics) {
-    if (!s.is_thread_local || s.is_const) continue;
-    if (allows.allowed(s.line, "thread-local-protocol")) continue;
-    out->push_back(
-        {f.path, s.line, "thread-local-protocol",
-         "thread_local '" + s.name +
-             "' outside the gf/obs per-thread-workspace allowlist — "
-             "per-thread state needs a documented ownership protocol; move "
-             "it behind a gf/obs facade or annotate: "
-             "// lolint:allow(thread-local-protocol) reason=<protocol>"});
-  }
-}
-
-void check_unguarded_field(const FileInput& f, const TuIndex& idx,
-                           const Symbols& syms, const AllowIndex& allows,
-                           std::vector<Finding>* out) {
-  if (is_test_path(f.path)) return;
-  for (const auto& fd : idx.fields) {
-    const auto it = syms.classes.find(fd.class_key);
-    if (it == syms.classes.end() || !it->second.has_guarded) continue;
-    if (fd.guarded || fd.is_mutex || fd.is_atomic || fd.is_const ||
-        fd.is_static) {
-      continue;
-    }
-    const auto w = it->second.writes.find(fd.name);
-    if (w == it->second.writes.end()) continue;
-    if (allows.allowed(fd.line, "unguarded-field")) continue;
-    out->push_back(
-        {f.path, fd.line, "unguarded-field",
-         "field '" + fd.name + "' of capability class '" + fd.class_key +
-             "' is written from a method (" + w->second.first + ":" +
-             std::to_string(w->second.second) +
-             ") but carries no LO_GUARDED_BY — guard it, or annotate the "
-             "declaration: // lolint:allow(unguarded-field) reason=<which "
-             "thread owns it>"});
   }
 }
 
@@ -865,7 +773,7 @@ void check_serde_field_coverage(const FileInput& f, const TuIndex& idx,
     const auto in_write = body_idents(bodies.write_fns);
     const auto in_read = body_idents(bodies.read_fns);
     for (const auto& fd : cls_it->second.fields) {
-      if (fd.is_static || fd.is_const) continue;
+      if (fd.is_const) continue;
       const bool w = in_write.count(fd.name) != 0;
       const bool r = in_read.count(fd.name) != 0;
       if (w == r) continue;
@@ -900,7 +808,6 @@ const std::vector<std::string>& rule_ids() {
       "banned-source",        "unordered-iter",
       "float-in-protocol",    "relative-include",
       "serde-symmetry",       "mutable-static",
-      "unguarded-field",      "thread-local-protocol",
       "hot-path-alloc",       "serde-field-coverage",
   };
   return kIds;
@@ -919,10 +826,6 @@ bool is_protocol_path(const std::string& path) {
 
 bool is_rng_exempt_path(const std::string& path) {
   return path.rfind("src/util/rng.", 0) == 0 || path.rfind("src/sim/", 0) == 0;
-}
-
-bool is_thread_local_exempt_path(const std::string& path) {
-  return path.rfind("src/gf/", 0) == 0 || path.rfind("src/obs/", 0) == 0;
 }
 
 bool is_test_path(const std::string& path) {
@@ -1025,38 +928,10 @@ NameTable collect_unordered_names(const std::vector<FileInput>& files) {
 Symbols collect_symbols(const std::vector<FileInput>& files) {
   Symbols syms;
   syms.names = collect_unordered_names(files);
-  std::vector<TuIndex> indices;
-  indices.reserve(files.size());
   for (const auto& f : files) {
-    indices.push_back(index_tu(strip_comments(f.content)));
-    const TuIndex& idx = indices.back();
-    for (const auto& fd : idx.fields) {
-      auto& cls = syms.classes[fd.class_key];
-      cls.fields.push_back(fd);
-      cls.field_files.push_back(f.path);
-      if (fd.guarded) cls.has_guarded = true;
-    }
-  }
-  // Second pass: attribute method-body writes to the (now complete) class
-  // map, keeping only names that are actual fields of the resolved class.
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    const TuIndex& idx = indices[i];
-    for (const auto& fn : idx.functions) {
-      if (fn.body_end <= fn.body_begin || fn.is_ctor_or_dtor) continue;
-      const std::string key = resolve_class_key(syms, fn);
-      if (key.empty()) continue;
-      auto cls_it = syms.classes.find(key);
-      if (cls_it == syms.classes.end()) continue;
-      std::map<std::string, int> write_lines;
-      scan_field_writes(idx.tokens, fn.body_begin, fn.body_end, &write_lines);
-      for (const auto& [name, line] : write_lines) {
-        const bool is_field = std::any_of(
-            cls_it->second.fields.begin(), cls_it->second.fields.end(),
-            [&](const FieldSymbol& fd) { return fd.name == name; });
-        if (!is_field) continue;
-        cls_it->second.writes.emplace(name,
-                                      std::make_pair(files[i].path, line));
-      }
+    TuIndex idx = index_tu(strip_comments(f.content));
+    for (auto& fd : idx.fields) {
+      syms.classes[fd.class_key].fields.push_back(std::move(fd));
     }
   }
   return syms;
@@ -1074,8 +949,6 @@ std::vector<Finding> lint_file(const FileInput& file, const Symbols& symbols) {
   check_serde_symmetry(file, code, allows, &out);
   const TuIndex idx = index_tu(code);
   check_mutable_static(file, idx, allows, &out);
-  check_thread_local_protocol(file, idx, allows, &out);
-  check_unguarded_field(file, idx, symbols, allows, &out);
   check_hot_path_alloc(file, idx, allows, &out);
   check_serde_field_coverage(file, idx, symbols, allows, &out);
   std::sort(out.begin(), out.end());

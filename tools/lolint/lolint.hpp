@@ -20,16 +20,11 @@
 //   [bad-allow]         malformed lolint:allow annotation (unknown rule id or
 //                       empty reason).
 //
-// Concurrency-readiness rules (v2, symbol-aware — see symbols.hpp):
+// Symbol-aware rules (v2 — see symbols.hpp):
 //   [mutable-static]    non-const namespace-scope variable, class-level
-//                       static, or function-local static outside tests/ —
-//                       state shared by every simulation in the process.
-//   [unguarded-field]   a mutable member of a class that declares any
-//                       LO_GUARDED_BY field, written from a (non-ctor)
-//                       method, without its own capability annotation.
-//   [thread-local-protocol] thread_local outside the src/gf// src/obs/
-//                       allowlist (per-thread state needs a documented
-//                       ownership protocol).
+//                       static, or function-local static or thread_local
+//                       outside tests/ — state shared by every simulation
+//                       in the process.
 //   [hot-path-alloc]    new/make_unique/make_shared or vector growth
 //                       (push_back/emplace_back/resize/reserve) inside a
 //                       ScopedProfile-instrumented function body.
@@ -79,16 +74,11 @@ struct NameTable {
   bool contains(const std::string& file, const std::string& name) const;
 };
 
-// Cross-TU symbol knowledge for the v2 rules: which classes exist, their
-// fields (declared in headers), and which fields are written from methods
-// (defined in .cpp files — possibly a different TU than the declaration).
+// Cross-TU symbol knowledge for the v2 rules: which classes exist and their
+// fields (declared in headers, possibly a different TU than the methods).
 struct Symbols {
   struct Class {
-    bool has_guarded = false;  // declares at least one LO_GUARDED_BY field
     std::vector<FieldSymbol> fields;
-    std::vector<std::string> field_files;  // parallel to fields: declaring file
-    // field name -> first non-ctor method write site ("file", line)
-    std::map<std::string, std::pair<std::string, int>> writes;
   };
   NameTable names;
   std::map<std::string, Class> classes;  // key: ns::...::Class
@@ -100,9 +90,6 @@ const std::vector<std::string>& rule_ids();
 // Directory predicates, on repo-relative paths.
 bool is_protocol_path(const std::string& path);
 bool is_rng_exempt_path(const std::string& path);
-// Paths where thread_local is allowed without annotation (gf/obs own the
-// per-thread workspace idiom) and where the concurrency rules stay silent.
-bool is_thread_local_exempt_path(const std::string& path);
 bool is_test_path(const std::string& path);
 
 // Replaces comments and string/char-literal bodies with spaces, preserving
@@ -112,8 +99,7 @@ std::string strip_comments(const std::string& content);
 // Pass 1a: harvest unordered-container names from every scanned file.
 NameTable collect_unordered_names(const std::vector<FileInput>& files);
 
-// Pass 1: full cross-TU symbol harvest (unordered names + class fields +
-// method write sites).
+// Pass 1: full cross-TU symbol harvest (unordered names + class fields).
 Symbols collect_symbols(const std::vector<FileInput>& files);
 
 // Pass 2: lint one file against the global symbol table. Findings are sorted.

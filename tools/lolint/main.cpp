@@ -19,7 +19,6 @@ void usage(const char* argv0) {
                "  Default subdirs: src tests bench\n"
                "  Rules: banned-source unordered-iter float-in-protocol\n"
                "         relative-include serde-symmetry mutable-static\n"
-               "         unguarded-field thread-local-protocol\n"
                "         hot-path-alloc serde-field-coverage (+ bad-allow)\n"
                "  Suppress one finding with:\n"
                "    // lolint:allow(<rule-id>) reason=<why it is safe>\n",

@@ -1,6 +1,7 @@
 #include "symbols.hpp"
 
 #include <algorithm>
+#include <set>
 
 namespace lolint {
 namespace {
@@ -323,11 +324,10 @@ class Parser {
         const std::ptrdiff_t open = match_back(k, "(", ")");
         if (open <= 0) return false;
         const Token& before = t_[static_cast<std::size_t>(open - 1)];
-        // Skip qualifier-position macro/spec groups: noexcept(...), throw(),
-        // LO_REQUIRES(...), __attribute__((...)).
+        // Skip qualifier-position spec groups: noexcept(...), throw(),
+        // __attribute__((...)).
         if (is_ident(before) &&
             (before.text == "noexcept" || before.text == "throw" ||
-             before.text.rfind("LO_", 0) == 0 ||
              before.text == "__attribute__")) {
           k = open - 2;
           continue;
@@ -406,14 +406,10 @@ class Parser {
       fn.name = t_[name_idx].text;
       fn.line = t_[name_idx].line;
       fn.body_begin = i;
-      // Qualifier chain: `A::B::name(`  →  cls = "A::B". A leading '~' marks
-      // a destructor.
+      // Qualifier chain: `A::B::name(`  →  cls = "A::B" (a destructor's
+      // '~' sits between them).
       std::ptrdiff_t q = static_cast<std::ptrdiff_t>(name_idx) - 1;
-      bool dtor = false;
-      if (q >= 0 && t_[static_cast<std::size_t>(q)].text == "~") {
-        dtor = true;
-        --q;
-      }
+      if (q >= 0 && t_[static_cast<std::size_t>(q)].text == "~") --q;
       std::string quals;
       while (q >= 1 && t_[static_cast<std::size_t>(q)].text == "::" &&
              is_ident(t_[static_cast<std::size_t>(q - 1)])) {
@@ -421,16 +417,7 @@ class Parser {
         quals = quals.empty() ? part : part + "::" + quals;
         q -= 2;
       }
-      if (!quals.empty()) {
-        fn.cls = quals;
-      } else {
-        fn.cls = class_chain();
-      }
-      const std::string last_cls =
-          fn.cls.find("::") == std::string::npos
-              ? fn.cls
-              : fn.cls.substr(fn.cls.rfind("::") + 2);
-      fn.is_ctor_or_dtor = dtor || (!last_cls.empty() && fn.name == last_cls);
+      fn.cls = quals.empty() ? class_chain() : quals;
       idx_.functions.push_back(fn);
       stack_.push_back({Frame::Kind::kFunction, fn.name,
                         static_cast<int>(idx_.functions.size() - 1), i + 1});
@@ -474,10 +461,6 @@ class Parser {
     bool is_static = false;
     bool is_extern = false;
     bool is_thread_local = false;
-    bool is_mutable_kw = false;
-    bool is_mutex = false;
-    bool is_atomic = false;
-    bool guarded = false;
     bool skip = false;  // using/typedef/friend/nested-type/... statement
   };
 
@@ -502,15 +485,6 @@ class Parser {
       if (paren + brace + square > 0) { prev_was_ident = false; continue; }
       if (s == "<" && prev_was_ident) { ++angle; prev_was_ident = false; continue; }
       if (angle > 0) {
-        // Mutex-ish / atomic wrappers may hide inside template args
-        // (unique_ptr<Mutex>, atomic<bool>).
-        if (is_ident(tk)) {
-          if (s.find("Mutex") != std::string::npos || s == "mutex" ||
-              s == "shared_mutex") {
-            d.is_mutex = true;
-          }
-          if (s == "atomic") d.is_atomic = true;
-        }
         if (s == ">") --angle;
         else if (s == ">>") angle = std::max(0, angle - 2);
         prev_was_ident = false;
@@ -533,31 +507,14 @@ class Parser {
         if (s == "static") { d.is_static = true; prev_was_ident = false; continue; }
         if (s == "extern") { d.is_extern = true; prev_was_ident = false; continue; }
         if (s == "thread_local") { d.is_thread_local = true; prev_was_ident = false; continue; }
-        if (s == "mutable") { d.is_mutable_kw = true; prev_was_ident = false; continue; }
         if (s == "inline" || s == "virtual" || s == "explicit" ||
-            s == "volatile" || s == "register" || s == "unsigned" ||
-            s == "signed" || s == "long" || s == "short") {
+            s == "mutable" || s == "volatile" || s == "register" ||
+            s == "unsigned" || s == "signed" || s == "long" || s == "short") {
           prev_was_ident = (s == "unsigned" || s == "signed" || s == "long" ||
                             s == "short");
           if (prev_was_ident) { last_ident = s; last_ident_line = tk.line; }
           continue;
         }
-        if (s == "LO_GUARDED_BY" || s == "LO_PT_GUARDED_BY") {
-          d.guarded = true;
-          if (!last_ident.empty()) {
-            d.name = last_ident;
-            d.line = last_ident_line;
-            d.found = true;
-          }
-          // The annotation's (...) argument follows; depth tracking skips it.
-          prev_was_ident = false;
-          continue;
-        }
-        if (s.find("Mutex") != std::string::npos || s == "mutex" ||
-            s == "shared_mutex") {
-          d.is_mutex = true;
-        }
-        if (s == "atomic") d.is_atomic = true;
         last_ident = s;
         last_ident_line = tk.line;
         prev_was_ident = true;
@@ -615,11 +572,9 @@ class Parser {
       if (s == "=") return false;  // initializer: definitely a variable
       if (is_ident(tk)) {
         prev_was_ident_tok = true;
-        // Annotation macros sit between name and init; a '(' after them is
-        // the macro argument, not a parameter list.
-        prev_was_plain_ident = !(tk.text.rfind("LO_", 0) == 0 ||
-                                 tk.text == "noexcept" ||
-                                 tk.text == "__attribute__");
+        // A '(' after these is their argument, not a parameter list.
+        prev_was_plain_ident =
+            !(tk.text == "noexcept" || tk.text == "__attribute__");
         continue;
       }
       prev_was_plain_ident = false;
@@ -639,8 +594,7 @@ class Parser {
     if (d.is_static) {
       if (!d.is_const) {
         idx_.statics.push_back({StaticSymbol::Scope::kClassStatic, d.name,
-                                d.line, d.is_const, d.is_thread_local,
-                                d.is_extern});
+                                d.line, d.is_const, d.is_extern});
       }
       return;
     }
@@ -649,13 +603,7 @@ class Parser {
     f.name = d.name;
     f.line = d.line;
     f.is_const = d.is_const;
-    f.is_static = d.is_static;
-    f.is_mutable_kw = d.is_mutable_kw;
-    f.is_mutex = d.is_mutex;
-    f.is_atomic = d.is_atomic;
-    f.guarded = d.guarded;
     idx_.fields.push_back(f);
-    if (f.guarded) idx_.capability_classes.insert(f.class_key);
   }
 
   void classify_namespace_statement(std::size_t b, std::size_t e) {
@@ -668,8 +616,7 @@ class Parser {
     if (d.skip || !d.found) return;
     if (looks_like_function_decl(b, e)) return;
     idx_.statics.push_back({StaticSymbol::Scope::kNamespace, d.name,
-                            t_[b].line, d.is_const, d.is_thread_local,
-                            d.is_extern});
+                            t_[b].line, d.is_const, d.is_extern});
   }
 
   // Function-local `static` / `thread_local` declaration at token i.
@@ -698,8 +645,7 @@ class Parser {
     // which the trigger token guarantees.
     if (!(d.is_static || d.is_thread_local)) return;
     idx_.statics.push_back({StaticSymbol::Scope::kFunctionLocal, d.name,
-                            t_[i].line, d.is_const, d.is_thread_local,
-                            d.is_extern});
+                            t_[i].line, d.is_const, d.is_extern});
   }
 };
 

@@ -3,23 +3,21 @@
 //
 // This is deliberately not a real C++ parser: it tracks just enough structure
 // (namespace / class / function nesting, member-field declarations, static
-// and thread_local declarations, function bodies) for the concurrency rules
-// to reason about *symbols* instead of raw lines. Inputs are expected to be
+// and thread_local declarations, function bodies) for the v2 rules to reason
+// about *symbols* instead of raw lines. Inputs are expected to be
 // comment-stripped (lolint::strip_comments) so literals and comments cannot
 // fake declarations; preprocessor directives are dropped during tokenization
 // for the same reason.
 //
 // Known, accepted approximations (the dynamic tests are the backstop):
 //   - constructors using member-initializer lists with brace-init are parsed
-//     as plain blocks (their bodies are then invisible to the write scan —
-//     conservative, since ctor writes are exempt anyway);
+//     as plain blocks;
 //   - multi-declarator statements (`int a, b;`) index the first name only;
 //   - template metaprogramming beyond ordinary `template <...>` headers is
 //     not modeled.
 #pragma once
 
 #include <cstddef>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -38,17 +36,13 @@ struct Token {
 // continuations) produce no tokens.
 std::vector<Token> tokenize(const std::string& stripped);
 
-// A data member of a class/struct.
+// A non-static data member of a class/struct (static members are
+// StaticSymbols).
 struct FieldSymbol {
   std::string class_key;  // fully scoped: ns::...::Class[::Nested]
   std::string name;
   int line = 0;
-  bool is_const = false;      // const / constexpr anywhere in the decl-specifiers
-  bool is_static = false;     // static data member
-  bool is_mutable_kw = false; // declared C++ `mutable`
-  bool is_mutex = false;      // type mentions Mutex/mutex/shared_mutex
-  bool is_atomic = false;     // type mentions atomic
-  bool guarded = false;       // LO_GUARDED_BY / LO_PT_GUARDED_BY present
+  bool is_const = false;  // const / constexpr anywhere in the decl-specifiers
 };
 
 // A function with a body in this TU (free function, in-class method, or
@@ -60,7 +54,6 @@ struct FunctionSymbol {
   int line = 0;           // line of the function name token
   std::size_t body_begin = 0;  // token index of the opening '{'
   std::size_t body_end = 0;    // token index of the matching '}'
-  bool is_ctor_or_dtor = false;
 };
 
 // A namespace-scope variable, class-level static, or function-local
@@ -71,7 +64,6 @@ struct StaticSymbol {
   std::string name;
   int line = 0;
   bool is_const = false;
-  bool is_thread_local = false;
   bool is_extern = false;
 };
 
@@ -80,9 +72,6 @@ struct TuIndex {
   std::vector<FieldSymbol> fields;
   std::vector<FunctionSymbol> functions;
   std::vector<StaticSymbol> statics;
-  // Class keys that declare at least one LO_GUARDED_BY/LO_PT_GUARDED_BY field
-  // in this TU.
-  std::set<std::string> capability_classes;
 };
 
 // Builds the symbol index for one comment-stripped translation unit.

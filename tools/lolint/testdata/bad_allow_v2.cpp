@@ -5,5 +5,5 @@
 int first();
 // lolint:allow(hot-path-alloc) reason=
 int second();
-// lolint:allow(unguarded-fields) reason=misspelled rule id
+// lolint:allow(mutable-statics) reason=misspelled rule id
 int third();

@@ -1,7 +1,7 @@
 // lolint corpus: mutable process-global state fires [mutable-static] at
 // namespace scope, for extern declarations, for class-level statics and for
-// function-local statics. Constants stay silent, and thread_local is the
-// business of [thread-local-protocol], not this rule.
+// function-local statics and thread_locals (`static thread_local` counts
+// once, not once per storage keyword). Constants stay silent.
 #include <cstdint>
 
 extern std::uint64_t g_total_bytes;  // fires: extern mutable declaration
@@ -20,4 +20,18 @@ int bump() {
   static int calls = 0;       // fires: function-local mutable static
   static const int base = 7;  // silent: function-local constant
   return ++calls + base;
+}
+
+struct Workspace {
+  std::uint64_t scratch[64];
+};
+
+Workspace& local_workspace() {
+  thread_local Workspace ws;  // fires: shared by every simulation on the thread
+  return ws;
+}
+
+std::uint64_t bump_epoch() {
+  static thread_local std::uint64_t epoch = 0;  // fires exactly once
+  return ++epoch;
 }

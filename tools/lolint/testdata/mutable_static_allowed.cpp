@@ -18,3 +18,19 @@ int bump() {
   static int calls = 0;
   return ++calls;
 }
+
+struct Workspace {
+  std::uint64_t scratch[64];
+};
+
+Workspace& local_workspace() {
+  // lolint:allow(mutable-static) reason=corpus fixture exercising the annotation
+  thread_local Workspace ws;
+  return ws;
+}
+
+std::uint64_t bump_epoch() {
+  // lolint:allow(mutable-static) reason=corpus fixture exercising the annotation
+  static thread_local std::uint64_t epoch = 0;
+  return ++epoch;
+}
