@@ -4,11 +4,11 @@
 // are excluded from "overhead" since all protocols pay them equally.
 // Paper shape: LØ >= 4x cheaper than Flood, ~20x cheaper than PeerReview;
 // Narwhal costs 7-10x more than LØ but is 1-2 s faster.
-#include "baselines/common.hpp"
 #include "baselines/flood.hpp"
 #include "baselines/narwhal.hpp"
 #include "baselines/peerreview.hpp"
 #include "bench_common.hpp"
+#include "harness/network.hpp"
 
 namespace lo {
 namespace {
@@ -24,14 +24,6 @@ core::PrevalidationPolicy fast_preval() {
   core::PrevalidationPolicy p;
   p.sig_mode = crypto::SignatureMode::kSimFast;
   return p;
-}
-
-baselines::BaselineNetConfig baseline_net(std::size_t n, std::uint64_t seed) {
-  baselines::BaselineNetConfig cfg;
-  cfg.num_nodes = n;
-  cfg.seed = seed;
-  cfg.city_latency = true;
-  return cfg;
 }
 
 ProtocolRow run_lo(std::size_t n, double seconds, double tps,
@@ -52,7 +44,8 @@ ProtocolRow run_baseline(const char* name, typename NodeT::Config node_cfg,
                          const char* tx_class, std::size_t n, double seconds,
                          double tps, std::uint64_t seed,
                          bool set_universe = false) {
-  baselines::BaselineNetwork<NodeT> net(baseline_net(n, seed), node_cfg);
+  // The LØ row's scaffold settings; only the node type and its config differ.
+  harness::Network<NodeT> net(bench::base_config(n, seed), node_cfg);
   if constexpr (std::is_same_v<NodeT, baselines::PeerReviewNode>) {
     if (set_universe) {
       for (std::size_t i = 0; i < net.size(); ++i) net.node(i).set_universe(n);

@@ -82,11 +82,10 @@ ShardingRow run_sharding_leg(std::size_t n, double seconds, std::uint64_t seed,
                              std::uint32_t shards) {
   auto cfg = lo::bench::base_config(n, seed);
   cfg.node.mempool_shards = shards;
-  // Saturation knobs: no signature checks (wire sizes unchanged); capacity
-  // and delta bound the exchange so that the global difference overflows the
-  // sketch at k = 1 while the per-shard differences stay decodable at k = 4
-  // — the regime the sharded pipeline exists for.
-  cfg.node.verify_signatures = false;
+  // Saturation knobs: capacity and delta bound the exchange so that the
+  // global difference overflows the sketch at k = 1 while the per-shard
+  // differences stay decodable at k = 4 — the regime the sharded pipeline
+  // exists for.
   cfg.node.commitment.sketch_capacity = 64;
   cfg.node.max_delta = 48;
   lo::harness::LoNetwork net(cfg);

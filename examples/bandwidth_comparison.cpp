@@ -5,7 +5,6 @@
 //   $ ./build/examples/bandwidth_comparison
 #include <cstdio>
 
-#include "baselines/common.hpp"
 #include "baselines/flood.hpp"
 #include "harness/lo_network.hpp"
 
@@ -45,13 +44,10 @@ int main() {
   const auto lo_overhead =
       lo_net.sim().bandwidth().bytes_excluding({"lo.txs"});
 
-  // --- Flood ---
-  baselines::BaselineNetConfig fl_cfg;
-  fl_cfg.num_nodes = kNodes;
-  fl_cfg.seed = 7;
+  // --- Flood, on the same network scaffold settings ---
   baselines::FloodNode::Config fl_node;
   fl_node.prevalidation.sig_mode = crypto::SignatureMode::kSimFast;
-  baselines::BaselineNetwork<baselines::FloodNode> fl_net(fl_cfg, fl_node);
+  harness::Network<baselines::FloodNode> fl_net(lo_cfg, fl_node);
   fl_net.start_workload(load, 1);
   fl_net.run_for(kSeconds);
 

@@ -5,7 +5,7 @@ namespace lo::core {
 std::optional<EquivocationEvidence> AccountabilityRegistry::observe_commitment(
     const CommitmentHeader& header, bool* used_decode) {
   if (used_decode != nullptr) *used_decode = false;
-  if (verify_signatures_ && !header.verify(mode_, verify_cache_)) return std::nullopt;
+  if (!header.verify(mode_, verify_cache_)) return std::nullopt;
 
   // Commitments are tracked per (node, shard): shard logs are disjoint
   // append-only histories, so only same-shard pairs can conflict. Exposure,

@@ -23,11 +23,8 @@ enum class PeerStatus : std::uint8_t { kTrusted, kSuspected, kExposed };
 class AccountabilityRegistry {
  public:
   explicit AccountabilityRegistry(crypto::SignatureMode mode,
-                                  bool verify_signatures = true,
                                   bool two_stage_checks = true)
-      : mode_(mode),
-        verify_signatures_(verify_signatures),
-        two_stage_checks_(two_stage_checks) {}
+      : mode_(mode), two_stage_checks_(two_stage_checks) {}
 
   // Optional verification cache (owned by the node); results are identical
   // with or without it. Must outlive the registry when set.
@@ -90,7 +87,6 @@ class AccountabilityRegistry {
 
  private:
   crypto::SignatureMode mode_;
-  bool verify_signatures_;
   bool two_stage_checks_;
   crypto::VerifyCache* verify_cache_ = nullptr;
   std::unordered_map<std::uint64_t, CommitmentHeader> latest_;

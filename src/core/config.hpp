@@ -41,10 +41,6 @@ struct LoConfig {
 
   PrevalidationPolicy prevalidation;
   crypto::SignatureMode sig_mode = crypto::SignatureMode::kEd25519;
-  // When false, signature bytes still travel but are not checked — used by
-  // large-scale benches where crypto would dominate wall-clock without
-  // changing protocol behavior.
-  bool verify_signatures = true;
 
   // Cap on full txids shipped per sync response (delta_back / recovery tail);
   // larger backlogs converge over multiple rounds.

@@ -29,8 +29,7 @@ LoNode::LoNode(sim::Simulator& sim, NodeId id, const LoConfig& config,
       config_(config),
       signer_(keys, config.sig_mode),
       hooks_(hooks),
-      registry_(config.sig_mode, config.verify_signatures,
-                config.two_stage_checks) {
+      registry_(config.sig_mode, config.two_stage_checks) {
   // Fold the shard count into the commitment params so every wire codec
   // (headers, bundles, blocks) sees it; at k=1 nothing changes on the wire.
   k_ = static_cast<std::uint32_t>(
@@ -218,8 +217,7 @@ void LoNode::crash(bool wipe_mempool) {
   // persists (like suspicion_epoch_, a counter a real node would fsync so a
   // reboot re-joins with a strictly higher incarnation).
   swim_.reset();
-  registry_ = AccountabilityRegistry(config_.sig_mode, config_.verify_signatures,
-                                     config_.two_stage_checks);
+  registry_ = AccountabilityRegistry(config_.sig_mode, config_.two_stage_checks);
   // The verify cache deliberately survives the crash: it memoizes pure
   // functions of message bytes, so replaying it cannot leak pre-crash state
   // into any decision a fresh node would make differently.
@@ -488,7 +486,7 @@ void LoNode::handle_sync_request(NodeId from, const SyncRequest& req) {
   ++sketch_decodes_;
   const auto diff = merged.decode();
   if (hooks_ && hooks_->on_reconcile) {
-    hooks_->on_reconcile(id_, 1, diff.has_value());
+    hooks_->on_reconcile(id_, diff.has_value());
   }
   if (tracer_->enabled()) {
     const std::uint64_t outcome = !diff ? obs::kReconcileOverflow
@@ -631,7 +629,7 @@ void LoNode::handle_sync_response(NodeId from, const SyncResponse& resp) {
     ++sketch_decodes_;
     const auto recovery_diff = merged.decode();
     if (hooks_ && hooks_->on_reconcile) {
-      hooks_->on_reconcile(id_, 1, recovery_diff.has_value());
+      hooks_->on_reconcile(id_, recovery_diff.has_value());
     }
     if (tracer_->enabled()) {
       const std::uint64_t outcome =
@@ -813,7 +811,7 @@ void LoNode::observe_header(NodeId from, const CommitmentHeader& header) {
   auto evidence = registry_.observe_commitment(header, &used_decode);
   if (used_decode) {
     ++sketch_decodes_;
-    if (hooks_ && hooks_->on_reconcile) hooks_->on_reconcile(id_, 1, true);
+    if (hooks_ && hooks_->on_reconcile) hooks_->on_reconcile(id_, true);
   }
   if (evidence) {
     auto msg = std::make_shared<ExposureMsg>();
@@ -1052,11 +1050,7 @@ void LoNode::handle_exposure(NodeId from, const ExposureMsg& msg) {
   if (seen_exposures_.count(msg.accused) != 0) {
     return;
   }
-  if (config_.verify_signatures && !msg.verify(config_.sig_mode, &verify_cache_)) return;
-  if (!config_.verify_signatures) {
-    // Structural check only (large-scale benches).
-    if (!msg.equivocation && !msg.block_evidence) return;
-  }
+  if (!msg.verify(config_.sig_mode, &verify_cache_)) return;
   seen_exposures_.insert(msg.accused);
   registry_.expose(msg.accused);
   tracer_->emit(obs::EventKind::kExpose, id_, msg.accused, msg.verdict);
@@ -1166,7 +1160,7 @@ void LoNode::handle_block(NodeId from, std::shared_ptr<const BlockMsg> msg) {
   const Block& block = msg->block;
   if (block.shard >= k_) return;
   if (!seen_blocks_.emplace(block.hash(), msg).second) return;
-  if (config_.verify_signatures && !block.verify(config_.sig_mode, &verify_cache_)) return;
+  if (!block.verify(config_.sig_mode, &verify_cache_)) return;
   if (!behavior_.drop_gossip) flood(msg, from);
   if (block.creator == id_) return;
   inspect_known_block(block);
@@ -1199,9 +1193,6 @@ void LoNode::inspect_known_block(const Block& block) {
                   obs::short_id(std::span<const std::uint8_t>(
                       block_hash.data(), block_hash.size())),
                   static_cast<std::uint64_t>(res.verdict), 0, block.shard);
-  }
-  if (hooks_ && hooks_->on_block_inspected) {
-    hooks_->on_block_inspected(id_, block, res.verdict, sim_.now());
   }
 
   switch (res.verdict) {
@@ -1291,7 +1282,7 @@ void LoNode::handle_bundle_response(NodeId from, const BundleResponse& resp) {
   std::unordered_set<std::uint64_t> touched;
   for (const auto& sb : resp.bundles) {
     if (sb.shard >= k_) continue;
-    if (config_.verify_signatures && !sb.verify(config_.sig_mode, &verify_cache_)) continue;
+    if (!sb.verify(config_.sig_mode, &verify_cache_)) continue;
     // The bundle key must match the owner's known commitment key, if any
     // (per shard — that is the commitment the bundle claims membership of).
     if (const auto* h = registry_.latest(sb.owner, sb.shard)) {

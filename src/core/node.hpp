@@ -57,15 +57,10 @@ struct Hooks {
   // A node learned a verified exposure of `accused` (Fig. 6 "Exposure").
   std::function<void(NodeId node, NodeId accused, sim::TimePoint when)>
       on_exposure;
-  // A node finished inspecting a received block.
-  std::function<void(NodeId node, const Block& block, BlockVerdict verdict,
-                     sim::TimePoint when)>
-      on_block_inspected;
-  // Sketch decode attempts performed (Fig. 10 reconciliation counting).
-  // `decode_ok` is false when the symmetric difference overflowed the sketch
-  // capacity and the round fell back to the recovery path.
-  std::function<void(NodeId node, std::size_t decode_ops, bool decode_ok)>
-      on_reconcile;
+  // A node attempted one sketch decode. `decode_ok` is false when the
+  // symmetric difference overflowed the sketch capacity and the round fell
+  // back to the recovery path.
+  std::function<void(NodeId node, bool decode_ok)> on_reconcile;
   // The membership failure detector of `node` moved `member` to `state`
   // (only fired when config.membership.enabled).
   std::function<void(NodeId node, NodeId member, membership::MemberState state,

@@ -89,15 +89,10 @@ bool prevalidate(const Transaction& tx, const PrevalidationPolicy& policy,
                  crypto::VerifyCache* cache) {
   if (tx.fee < policy.min_fee) return false;
   if (tx.compute_id() != tx.id) return false;
-  if (policy.check_signatures) {
-    auto msg = tx.signing_bytes();
-    const std::span<const std::uint8_t> m(msg.data(), msg.size());
-    const bool ok = cache ? cache->verify(policy.sig_mode, tx.creator, m, tx.sig)
-                          : crypto::Signer::verify(policy.sig_mode, tx.creator,
-                                                   m, tx.sig);
-    if (!ok) return false;
-  }
-  return true;
+  auto msg = tx.signing_bytes();
+  const std::span<const std::uint8_t> m(msg.data(), msg.size());
+  return cache ? cache->verify(policy.sig_mode, tx.creator, m, tx.sig)
+               : crypto::Signer::verify(policy.sig_mode, tx.creator, m, tx.sig);
 }
 
 }  // namespace lo::core

@@ -52,7 +52,6 @@ Transaction make_transaction(const crypto::Signer& client, std::uint64_t nonce,
 struct PrevalidationPolicy {
   std::uint64_t min_fee = 1;
   crypto::SignatureMode sig_mode = crypto::SignatureMode::kEd25519;
-  bool check_signatures = true;
 };
 
 // `cache` (optional) memoizes signature checks so duplicate deliveries of the

@@ -8,68 +8,16 @@
 
 namespace lo::harness {
 
-LoNetwork::LoNetwork(const NetworkConfig& config)
-    : config_(config), sim_(config.seed) {
+LoNetwork::LoNetwork(const NetworkConfig& config) : Network(config) {
   const std::size_t n = config.num_nodes;
 
-  // Tracing goes live before nodes exist so construction-time events (cache
-  // binds, first timers) land in the stream too.
-  if (config.trace_capacity > 0) {
-    sim_.obs().tracer.set_capacity(config.trace_capacity);
-  }
-  if (config.trace) sim_.obs().tracer.enable(true);
-
-  if (config.city_latency) {
-    sim_.set_latency_model(std::make_shared<sim::CityLatencyModel>());
-  } else {
-    sim_.set_latency_model(
-        std::make_shared<sim::ConstantLatency>(config.constant_latency));
-  }
-
-  // Malicious assignment: random subset of the requested size.
-  malicious_.assign(n, false);
-  malicious_count_ = static_cast<std::size_t>(
-      config.malicious_fraction * static_cast<double>(n) + 0.5);
-  if (malicious_count_ > 0) {
-    auto idx = sim_.rng().sample_indices(n, malicious_count_);
-    for (auto i : idx) malicious_[i] = true;
-  }
-
-  // Topology with the paper's degree limits, then the Sec. 6.2 preconditions.
-  topology_ = overlay::Topology::random(n, config.topology, sim_.rng());
-  if (config.ensure_honest_connected && malicious_count_ > 0) {
-    std::vector<bool> honest(n);
-    for (std::size_t i = 0; i < n; ++i) honest[i] = !malicious_[i];
-    topology_.ensure_connected_among(honest, sim_.rng());
-  }
-  if (config.connect_malicious_clique && malicious_count_ > 1) {
-    std::vector<core::NodeId> bad;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (malicious_[i]) bad.push_back(static_cast<core::NodeId>(i));
-    }
-    for (std::size_t i = 0; i + 1 < bad.size(); ++i) {
-      topology_.add_edge(bad[i], bad[i + 1]);  // ring suffices for collusion
-    }
-  }
-
-  // Metric hooks.
-  hooks_.on_mempool_admit = [this](core::NodeId, const core::Transaction& tx,
-                                   sim::TimePoint when) {
-    mempool_latency_.add(sim::to_seconds(when - tx.created_at));
-    // Without a consensus stub, "settled" means first mempool admission
-    // anywhere; with block production, schedule_next_block() settles at
-    // first inclusion instead (and on_settle is first-wins either way).
-    if (anomaly_ && !leaders_) {
-      anomaly_->on_settle(core::txid_short(tx.id), when);
-    }
-  };
   hooks_.on_suspect = [this](core::NodeId node, core::NodeId suspect,
                              sim::TimePoint when) {
     suspicion_events_.push_back(
         BlameEvent{node, suspect, sim::to_seconds(when)});
     if (anomaly_) anomaly_->on_suspicion();
   };
-  hooks_.on_reconcile = [this](core::NodeId, std::size_t, bool decode_ok) {
+  hooks_.on_reconcile = [this](core::NodeId, bool decode_ok) {
     if (anomaly_) anomaly_->on_reconcile(decode_ok);
   };
   hooks_.on_exposure = [this](core::NodeId node, core::NodeId accused,
@@ -93,24 +41,16 @@ LoNetwork::LoNetwork(const NetworkConfig& config)
           .observe(latency_s);
     }
   };
-  crash_time_s_.assign(n, -1.0);
-  ever_crashed_.assign(n, false);
 
-  nodes_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    auto keys = crypto::derive_keypair(config.seed * 0x10001ULL + i,
+  add_nodes([&](core::NodeId id) {
+    auto keys = crypto::derive_keypair(config.seed * 0x10001ULL + id,
                                        config.node.sig_mode);
-    auto node = std::make_unique<core::LoNode>(
-        sim_, static_cast<core::NodeId>(i), config.node, keys, &hooks_);
-    if (malicious_[i]) node->behavior() = config.malicious;
+    auto node = std::make_unique<core::LoNode>(sim_, id, config.node, keys,
+                                               &hooks_);
+    if (malicious_[id]) node->behavior() = config.malicious;
     node->set_verify_tier(verify_tier_);
-    const core::NodeId id = sim_.add_node(node.get());
-    (void)id;
-    nodes_.push_back(std::move(node));
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    nodes_[i]->set_neighbors(topology_.neighbors(static_cast<core::NodeId>(i)));
-  }
+    return node;
+  });
   if (config.node.rotate_interval > 0 || config.node.membership.enabled) {
     std::vector<core::NodeId> everyone(n);
     for (std::size_t i = 0; i < n; ++i) everyone[i] = static_cast<core::NodeId>(i);
@@ -126,46 +66,15 @@ LoNetwork::LoNetwork(const NetworkConfig& config)
   }
 }
 
-void LoNetwork::start_workload(const workload::WorkloadConfig& cfg,
-                               std::size_t submit_fanout) {
-  txgen_ = std::make_unique<workload::TxGenerator>(cfg);
-  submit_fanout_ = std::max<std::size_t>(1, submit_fanout);
-  schedule_next_tx();
-}
-
-void LoNetwork::schedule_next_tx() {
-  sim_.schedule(txgen_->next_gap_us(), [this] {
-    if (workload_stopped_) return;
-    auto tx = txgen_->next(sim_.now());
-    tx_created_.emplace(tx.id, tx.created_at);
-    ++txs_injected_;
-    // Submit to random correct nodes (clients would avoid known-bad peers;
-    // submitting to a censoring node would only measure the censorship).
-    std::size_t placed = 0;
-    int guard = 0;
-    while (placed < submit_fanout_ && guard < 200) {
-      ++guard;
-      const auto i = sim_.rng().next_below(nodes_.size());
-      if (malicious_[i]) continue;
-      // Clients cannot reach a down node; they pick another correct peer.
-      if (!sim_.node_up(static_cast<core::NodeId>(i))) continue;
-      sim_.obs().tracer.emit(obs::EventKind::kTxSubmit,
-                             static_cast<std::uint32_t>(i), 0,
-                             core::txid_short(tx.id));
-      nodes_[i]->submit_transaction(tx);
-      ++placed;
-    }
-    if (anomaly_ && placed > 0) {
-      anomaly_->on_submit(core::txid_short(tx.id), tx.created_at);
-    }
-    schedule_next_tx();
-  });
+void LoNetwork::on_inject(const core::Transaction& tx) {
+  tx_created_.emplace(tx.id, tx.created_at);
 }
 
 void LoNetwork::start_block_production(const consensus::LeaderConfig& cfg,
                                        bool correct_leaders_only) {
   leaders_ = std::make_unique<consensus::LeaderSchedule>(nodes_.size(), cfg);
   correct_leaders_only_ = correct_leaders_only;
+  settle_at_admit_ = false;
   schedule_next_block();
 }
 
@@ -215,50 +124,6 @@ void LoNetwork::schedule_next_block() {
   });
 }
 
-void LoNetwork::run_for(double seconds) {
-  sim_.run_until(sim_.now() + sim::from_seconds(seconds));
-}
-
-// --------------------------------------------------------- fault injection ----
-
-void LoNetwork::crash_node(std::size_t i, bool wipe_mempool) {
-  const auto id = static_cast<core::NodeId>(i);
-  if (!sim_.node_up(id)) return;
-  // Order matters: marking the node down first bumps its epoch, so nothing
-  // the dying node scheduled can fire; then the node wipes volatile state.
-  sim_.set_node_up(id, false);
-  nodes_.at(i)->crash(wipe_mempool);
-  crash_time_s_.at(i) = sim::to_seconds(sim_.now());
-  ever_crashed_.at(i) = true;
-}
-
-void LoNetwork::restart_node(std::size_t i) {
-  const auto id = static_cast<core::NodeId>(i);
-  if (sim_.node_up(id)) return;
-  // Up first: restart() re-arms timers under the current (live) epoch.
-  sim_.set_node_up(id, true);
-  nodes_.at(i)->restart();
-  crash_time_s_.at(i) = -1.0;
-}
-
-AnomalyMonitor& LoNetwork::start_anomaly_monitor(const AnomalyConfig& cfg) {
-  if (!anomaly_) {
-    anomaly_ = std::make_unique<AnomalyMonitor>(sim_, cfg);
-    anomaly_->start();
-  }
-  return *anomaly_;
-}
-
-sim::FaultInjector& LoNetwork::faults() {
-  if (!faults_) {
-    faults_ = std::make_unique<sim::FaultInjector>(
-        sim_, config_.seed ^ 0x9e3779b97f4a7c15ULL,
-        [this](core::NodeId id, bool wipe) { crash_node(id, wipe); },
-        [this](core::NodeId id) { restart_node(id); });
-  }
-  return *faults_;
-}
-
 // ------------------------------------------------------ invariant checking ----
 
 std::vector<std::string> LoNetwork::check_invariants() const {
@@ -305,6 +170,7 @@ std::vector<std::string> LoNetwork::check_invariants() const {
     // committed to (admission commits immediately; only malicious nodes
     // stealth-store content off the record). The committing log must be the
     // id's own shard log.
+    // lolint:allow(unordered-iter) reason=stops at the first miss and names no tx, so the order cannot show
     for (const auto& [id, tx] : nodes_[i]->mempool()) {
       if (!nodes_[i]->log(nodes_[i]->shard_of(id)).contains(id)) {
         note("node " + std::to_string(i) +
@@ -321,7 +187,7 @@ std::vector<std::string> LoNetwork::check_invariants() const {
       for (const auto& [member, ms] : det->members()) {
         if (ms.state != membership::MemberState::kConfirmed) continue;
         if (member < n && !malicious_[member] &&
-            sim_.node_up(member) && !ever_crashed_[member]) {
+            sim_.node_up(member) && !ever_crashed(member)) {
           note("node " + std::to_string(i) +
                " confirmed live correct node " + std::to_string(member) +
                " as faulty");
@@ -373,7 +239,7 @@ crypto::VerifyCacheStats LoNetwork::total_verify_cache_stats() const {
 
 void LoNetwork::publish_metrics() {
   auto& reg = sim_.obs().registry;
-  reg.gauge("harness.txs_injected") = static_cast<double>(txs_injected_);
+  reg.gauge("harness.txs_injected") = static_cast<double>(txs_injected());
   reg.gauge("harness.txs_settled") = static_cast<double>(tx_settled_.size());
   reg.gauge("harness.chain_height") = static_cast<double>(chain_.height());
   auto& mempool_h = reg.histogram("harness.mempool_latency_s");
@@ -429,6 +295,7 @@ DetectionTimes LoNetwork::detection_times() const {
     const std::size_t want = (n - malicious_count_) * malicious_count_;
     if (first.size() < want) return -1.0;
     double latest = 0.0;
+    // lolint:allow(unordered-iter) reason=a max does not depend on the order
     for (const auto& [k, t] : first) latest = std::max(latest, t);
     return latest;
   };

@@ -1,7 +1,9 @@
-// LoNetwork — experiment harness assembling a full LØ deployment:
-// simulator + latency model + overlay topology + LoNodes + workload +
-// consensus stub + metric collection. Every evaluation figure and all
-// integration tests drive the protocol through this class.
+// LoNetwork — a full LØ deployment on the shared network scaffold
+// (harness/network.hpp): LoNodes with keys, the shared verify tier and the
+// faulty population's behavior, plus what only LØ has: rotation and SWIM
+// wiring, the consensus stub, the invariant checker and the blame feeds.
+// Every evaluation figure and all integration tests drive the protocol
+// through this class.
 #pragma once
 
 #include <cstdint>
@@ -15,40 +17,16 @@
 #include "consensus/leader.hpp"
 #include "core/config.hpp"
 #include "core/node.hpp"
-#include "harness/anomaly.hpp"
-#include "overlay/topology.hpp"
-#include "sim/faults.hpp"
+#include "harness/network.hpp"
 #include "sim/metrics.hpp"
-#include "sim/simulator.hpp"
-#include "workload/txgen.hpp"
 
 namespace lo::harness {
 
-struct NetworkConfig {
-  std::size_t num_nodes = 64;
-  std::uint64_t seed = 1;
-
+// LØ's network: the shared scaffold's fields plus the LØ node config and the
+// behavior of the faulty population (ScaffoldConfig::malicious_fraction).
+struct NetworkConfig : ScaffoldConfig {
   core::LoConfig node;
-  overlay::TopologyConfig topology;
-
-  // Latency model: true = 32-city geographic model (paper setup); false =
-  // constant latency (useful for deterministic unit tests).
-  bool city_latency = true;
-  sim::Duration constant_latency = 50 * sim::kMillisecond;
-
-  // Malicious population: the first ceil(fraction*n) node ids after shuffling
-  // by seed are faulty with `malicious` behavior. Honest-subgraph
-  // connectivity is enforced as in Sec. 6.2.
-  double malicious_fraction = 0.0;
   core::MaliciousBehavior malicious;
-  bool connect_malicious_clique = true;  // paper: all malicious interconnected
-  bool ensure_honest_connected = true;
-
-  // Observability: enable the simulator's deterministic event tracer before
-  // any node is constructed (so node-construction events are captured too).
-  // `trace_capacity` sizes the ring; 0 keeps the tracer default.
-  bool trace = false;
-  std::size_t trace_capacity = 0;
 };
 
 struct DetectionTimes {
@@ -63,52 +41,17 @@ struct DetectionTimes {
   double exposure_spread_s = -1.0;
 };
 
-class LoNetwork {
+class LoNetwork : public Network<core::LoNode> {
  public:
   explicit LoNetwork(const NetworkConfig& config);
 
-  sim::Simulator& sim() noexcept { return sim_; }
-  std::size_t size() const noexcept { return nodes_.size(); }
-  core::LoNode& node(std::size_t i) { return *nodes_.at(i); }
-  const std::vector<bool>& malicious_mask() const noexcept { return malicious_; }
-  std::size_t malicious_count() const noexcept { return malicious_count_; }
-  std::size_t correct_count() const noexcept {
-    return nodes_.size() - malicious_count_;
-  }
-  const overlay::Topology& topology() const noexcept { return topology_; }
-
-  // --- workload ---
-  // Starts Poisson transaction injection: each tx is submitted to
-  // `submit_fanout` random correct nodes. Runs until the simulation stops.
-  void start_workload(const workload::WorkloadConfig& cfg,
-                      std::size_t submit_fanout = 1);
-  // Stops injection after the currently scheduled arrival (for drain phases).
-  void stop_workload() noexcept { workload_stopped_ = true; }
-  std::uint64_t txs_injected() const noexcept { return txs_injected_; }
-
   // --- consensus stub ---
   // Schedules block production: random leaders at the configured cadence.
+  // From then on a tx settles at its first block inclusion, not its first
+  // admit.
   void start_block_production(const consensus::LeaderConfig& cfg,
                               bool correct_leaders_only = false);
   const consensus::Chain& chain() const noexcept { return chain_; }
-
-  // --- fault injection ---
-  // Crashes node i: marks it down in the simulator (suppressing its timers
-  // and dropping its traffic) and wipes its volatile state; the commitment
-  // log survives as "disk". No-op when already down.
-  void crash_node(std::size_t i, bool wipe_mempool = false);
-  // Restarts node i: marks it up, re-arms its periodic machinery and lets it
-  // rejoin through the ordinary sync path. No-op when already up.
-  void restart_node(std::size_t i);
-  bool node_down(std::size_t i) const { return !sim_.node_up(static_cast<core::NodeId>(i)); }
-  // Lazily constructed deterministic fault injector (seeded from the network
-  // seed) with its crash/restart handlers wired to the two methods above.
-  sim::FaultInjector& faults();
-  // Convenience: random crash/restart churn through the fault injector.
-  void start_churn(const sim::ChurnConfig& cfg) { faults().start_churn(cfg); }
-  void stop_churn() {
-    if (faults_) faults_->stop_churn();
-  }
 
   // --- invariant checking ---
   // One synchronous sweep over all correct nodes; returns human-readable
@@ -124,15 +67,6 @@ class LoNetwork {
     return invariant_violations_;
   }
 
-  // --- online anomaly detection ---
-  // Arms the streaming accountability anomaly detectors (DESIGN.md §5):
-  // censor-dwell watermark, suspicion-spike, reconcile-failure-rate and
-  // commit-latency SLO. Alerts land in anomaly()->alerts(), lo.anomaly.*
-  // counters and kAnomaly trace events. Settle is block inclusion when block
-  // production runs, first mempool admit otherwise. Idempotent.
-  AnomalyMonitor& start_anomaly_monitor(const AnomalyConfig& cfg = {});
-  const AnomalyMonitor* anomaly() const noexcept { return anomaly_.get(); }
-
   // Aggregate retry/timeout/blame mechanism counters over all nodes.
   core::NodeStats total_stats() const;
 
@@ -144,12 +78,7 @@ class LoNetwork {
     return *verify_tier_;
   }
 
-  // --- running ---
-  void run_for(double seconds);
-
   // --- metrics ---
-  // Fig. 7: per-(node, tx) mempool admission latencies, seconds.
-  sim::Samples& mempool_latency() noexcept { return mempool_latency_; }
   // Fig. 8: creation -> first block inclusion, seconds.
   sim::Samples& block_latency() noexcept { return block_latency_; }
   // Folds harness-level measurements (latency samples, injection counters)
@@ -161,7 +90,7 @@ class LoNetwork {
   DetectionTimes detection_times() const;
   // Fraction of correct nodes holding the tx with the given id.
   double coverage(const core::TxId& id) const;
-  // Average number of correct nodes' mempools that converged on all txs.
+  // Sketch decodes over all nodes.
   std::uint64_t total_sketch_decodes() const;
 
   // Raw event feeds for custom analyses.
@@ -194,30 +123,17 @@ class LoNetwork {
   const sim::Samples& membership_detection_latency() const noexcept {
     return membership_detection_latency_;
   }
-  bool ever_crashed(std::size_t i) const { return ever_crashed_.at(i); }
 
  private:
-  void schedule_next_tx();
+  void on_inject(const core::Transaction& tx) override;
   void schedule_next_block();
   void schedule_invariant_check();
 
-  NetworkConfig config_;
-  sim::Simulator sim_;
-  overlay::Topology topology_;
   // One verdict and key tier behind every node's verify cache: a verdict is
   // a pure function of its bytes, so each distinct signature is checked once
-  // per simulation (DESIGN.md §3c). Declared before nodes_, which share it.
+  // per simulation (DESIGN.md §3c).
   std::shared_ptr<crypto::VerifyTier> verify_tier_ =
       std::make_shared<crypto::VerifyTier>();
-  std::vector<std::unique_ptr<core::LoNode>> nodes_;
-  std::vector<bool> malicious_;
-  std::size_t malicious_count_ = 0;
-  core::Hooks hooks_;
-
-  std::unique_ptr<workload::TxGenerator> txgen_;
-  std::size_t submit_fanout_ = 1;
-  std::uint64_t txs_injected_ = 0;
-  bool workload_stopped_ = false;
 
   std::unique_ptr<consensus::LeaderSchedule> leaders_;
   bool correct_leaders_only_ = false;
@@ -225,13 +141,10 @@ class LoNetwork {
   std::unordered_map<core::TxId, std::int64_t, core::TxIdHash> tx_created_;
   std::unordered_set<core::TxId, core::TxIdHash> tx_settled_;
 
-  std::unique_ptr<AnomalyMonitor> anomaly_;
-  std::unique_ptr<sim::FaultInjector> faults_;
   sim::Duration invariant_period_ = 0;
   bool invariant_fail_fast_ = true;
   std::vector<std::string> invariant_violations_;
 
-  sim::Samples mempool_latency_;
   sim::Samples block_latency_;
   std::size_t published_mempool_ = 0;  // publish_metrics() high-water marks
   std::size_t published_block_ = 0;
@@ -239,8 +152,6 @@ class LoNetwork {
   std::vector<BlameEvent> exposure_events_;
   std::vector<MemberEvent> member_events_;
   sim::Samples membership_detection_latency_;
-  std::vector<double> crash_time_s_;  // per node; < 0 while the node is up
-  std::vector<bool> ever_crashed_;
 };
 
 }  // namespace lo::harness

@@ -92,15 +92,6 @@ TEST(Registry, InvalidSignatureIgnored) {
   EXPECT_EQ(reg.latest(9), nullptr);
 }
 
-TEST(Registry, SignatureCheckCanBeDisabled) {
-  AccountabilityRegistry reg(kMode, /*verify_signatures=*/false);
-  CommitmentLog log(9, CommitmentParams{});
-  auto h = log.make_header(signer(9));
-  h.sig[0] ^= 1;  // would fail verification
-  EXPECT_FALSE(reg.observe_commitment(h).has_value());
-  EXPECT_NE(reg.latest(9), nullptr);
-}
-
 TEST(Registry, ImposterKeyIgnored) {
   AccountabilityRegistry reg(kMode);
   CommitmentLog log(9, CommitmentParams{});

@@ -1,18 +1,19 @@
 // AnomalyMonitor tests: each streaming detector in isolation on a bare
 // simulator (dwell watermark, settle clearing, suspicion spike, reconcile
 // failure ratio, commit-latency SLO), the lo.anomaly.* counter and kAnomaly
-// trace surfaces, and same-seed replay of the full alert stream when the
-// monitor rides a real LØ run.
+// trace surfaces, the settle rule both node kinds share on the network
+// scaffold, and same-seed replay of the full alert stream when the monitor
+// rides a real LØ run.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <string>
 
-#include "baselines/common.hpp"
 #include "baselines/flood.hpp"
 #include "harness/anomaly.hpp"
 #include "harness/lo_network.hpp"
+#include "harness/network.hpp"
 #include "sim/simulator.hpp"
 #include "test_net_util.hpp"
 
@@ -209,16 +210,20 @@ std::string run_monitored_lo(std::uint64_t seed) {
   return out;
 }
 
-// The same detectors ride the baseline stacks (settle = first admit there):
-// a healthy flood run with a sane SLO raises nothing, and every tx clears
-// the in-flight set — the monitor observes real submit/settle feeds.
-TEST(Anomaly, BaselineNetworkFeedsTheMonitor) {
-  baselines::BaselineNetConfig cfg;
+baselines::FloodNode::Config flood_cfg() {
+  baselines::FloodNode::Config cfg;
+  cfg.prevalidation.sig_mode = test::kFastSig;
+  return cfg;
+}
+
+// The same detectors ride the baseline stacks: a healthy flood run with a
+// sane SLO raises nothing, and every tx clears the in-flight set — the
+// monitor observes real submit/settle feeds.
+TEST(Anomaly, FloodNetworkFeedsTheMonitor) {
+  harness::ScaffoldConfig cfg;
   cfg.num_nodes = 10;
   cfg.seed = 7;
-  baselines::FloodNode::Config node_cfg;
-  node_cfg.prevalidation.sig_mode = test::kFastSig;
-  baselines::BaselineNetwork<baselines::FloodNode> net(cfg, node_cfg);
+  harness::Network<baselines::FloodNode> net(cfg, flood_cfg());
   AnomalyConfig acfg;
   acfg.censor_dwell_threshold_s = 5.0;
   net.start_anomaly_monitor(acfg);
@@ -229,6 +234,28 @@ TEST(Anomaly, BaselineNetworkFeedsTheMonitor) {
   EXPECT_EQ(net.anomaly()->inflight(), 0u)
       << "flood baseline left submitted txs unsettled";
   EXPECT_TRUE(net.anomaly()->alerts().empty());
+}
+
+// Without blocks a tx settles at its first mempool admit, whatever the node
+// kind. A submit admits synchronously, so the scaffold must register the tx
+// as in flight before it places it: right after the first arrival nothing
+// may be left in flight.
+template <typename NodeT>
+std::uint64_t inflight_after_first_arrival(harness::Network<NodeT>& net) {
+  net.start_anomaly_monitor();
+  net.start_workload(test::load_cfg(10.0, 4));
+  while (net.txs_injected() == 0 && net.sim().step()) {
+  }
+  EXPECT_EQ(net.txs_injected(), 1u);
+  return net.anomaly()->inflight();
+}
+
+TEST(Anomaly, FirstArrivalSettlesAtItsAdmit) {
+  const auto cfg = test::net_cfg(16, 3);
+  harness::LoNetwork lo_net(cfg);
+  EXPECT_EQ(inflight_after_first_arrival(lo_net), 0u) << "LØ";
+  harness::Network<baselines::FloodNode> flood(cfg, flood_cfg());
+  EXPECT_EQ(inflight_after_first_arrival(flood), 0u) << "Flood";
 }
 
 TEST(Anomaly, MonitoredRunSameSeedSameAlerts) {

@@ -3,10 +3,10 @@
 // anchor the Fig. 9 comparison.
 #include <gtest/gtest.h>
 
-#include "baselines/common.hpp"
 #include "baselines/flood.hpp"
 #include "baselines/narwhal.hpp"
 #include "baselines/peerreview.hpp"
+#include "harness/network.hpp"
 #include "test_net_util.hpp"
 
 namespace lo::baselines {
@@ -14,10 +14,13 @@ namespace {
 
 constexpr auto kMode = test::kFastSig;
 
-// Baselines use their own config type (BaselineNetConfig), so only the
-// workload helper is shared; constant latency keeps these tests fast.
-BaselineNetConfig net_cfg(std::size_t n, std::uint64_t seed) {
-  BaselineNetConfig cfg;
+template <typename NodeT>
+using Network = harness::Network<NodeT>;
+
+// Baselines take no LØ node config, so they build on the scaffold's own
+// config; constant latency keeps these tests fast.
+harness::ScaffoldConfig net_cfg(std::size_t n, std::uint64_t seed) {
+  harness::ScaffoldConfig cfg;
   cfg.num_nodes = n;
   cfg.seed = seed;
   cfg.city_latency = false;
@@ -42,7 +45,7 @@ core::Transaction make_tx(std::uint64_t nonce) {
 TEST(Flood, PropagatesToAllNodes) {
   FloodNode::Config cfg;
   cfg.prevalidation = preval();
-  BaselineNetwork<FloodNode> net(net_cfg(16, 1), cfg);
+  Network<FloodNode> net(net_cfg(16, 1), cfg);
   const auto tx = make_tx(1);
   net.node(0).submit_transaction(tx);
   net.run_for(5.0);
@@ -54,7 +57,7 @@ TEST(Flood, PropagatesToAllNodes) {
 TEST(Flood, NoRedundantContentTransfers) {
   FloodNode::Config cfg;
   cfg.prevalidation = preval();
-  BaselineNetwork<FloodNode> net(net_cfg(12, 2), cfg);
+  Network<FloodNode> net(net_cfg(12, 2), cfg);
   net.node(0).submit_transaction(make_tx(1));
   net.run_for(5.0);
   const auto& cls = net.sim().bandwidth().by_class();
@@ -67,7 +70,7 @@ TEST(Flood, NoRedundantContentTransfers) {
 TEST(Flood, WorkloadConvergesUnderLoad) {
   FloodNode::Config cfg;
   cfg.prevalidation = preval();
-  BaselineNetwork<FloodNode> net(net_cfg(16, 3), cfg);
+  Network<FloodNode> net(net_cfg(16, 3), cfg);
   net.start_workload(load_cfg(10.0, 5));
   net.run_for(10.0);
   EXPECT_GT(net.txs_injected(), 50u);
@@ -80,7 +83,7 @@ TEST(Flood, WorkloadConvergesUnderLoad) {
 TEST(PeerReview, PropagatesAndLogs) {
   PeerReviewNode::Config cfg;
   cfg.prevalidation = preval();
-  BaselineNetwork<PeerReviewNode> net(net_cfg(12, 4), cfg);
+  Network<PeerReviewNode> net(net_cfg(12, 4), cfg);
   for (std::size_t i = 0; i < net.size(); ++i) net.node(i).set_universe(12);
   const auto tx = make_tx(1);
   net.node(0).submit_transaction(tx);
@@ -95,7 +98,7 @@ TEST(PeerReview, WitnessAuditsSucceedForHonestNodes) {
   PeerReviewNode::Config cfg;
   cfg.prevalidation = preval();
   cfg.audit_interval = 3 * sim::kSecond;
-  BaselineNetwork<PeerReviewNode> net(net_cfg(12, 5), cfg);
+  Network<PeerReviewNode> net(net_cfg(12, 5), cfg);
   for (std::size_t i = 0; i < net.size(); ++i) net.node(i).set_universe(12);
   net.start_workload(load_cfg(5.0, 6));
   net.run_for(15.0);
@@ -112,7 +115,7 @@ TEST(PeerReview, CostsMoreThanFlood) {
   const double tps = 10.0;
   FloodNode::Config fcfg;
   fcfg.prevalidation = preval();
-  BaselineNetwork<FloodNode> flood(net_cfg(16, 7), fcfg);
+  Network<FloodNode> flood(net_cfg(16, 7), fcfg);
   flood.start_workload(load_cfg(tps, 8));
   flood.run_for(10.0);
   const auto flood_overhead =
@@ -120,7 +123,7 @@ TEST(PeerReview, CostsMoreThanFlood) {
 
   PeerReviewNode::Config pcfg;
   pcfg.prevalidation = preval();
-  BaselineNetwork<PeerReviewNode> pr(net_cfg(16, 7), pcfg);
+  Network<PeerReviewNode> pr(net_cfg(16, 7), pcfg);
   for (std::size_t i = 0; i < pr.size(); ++i) pr.node(i).set_universe(16);
   pr.start_workload(load_cfg(tps, 8));
   pr.run_for(10.0);
@@ -134,7 +137,7 @@ TEST(PeerReview, TamperedLogFailsAudit) {
   // not verify (tampered or rewritten history) flips the audit verdict.
   PeerReviewNode::Config cfg;
   cfg.prevalidation = preval();
-  BaselineNetwork<PeerReviewNode> net(net_cfg(4, 6), cfg);
+  Network<PeerReviewNode> net(net_cfg(4, 6), cfg);
   for (std::size_t i = 0; i < net.size(); ++i) net.node(i).set_universe(4);
 
   auto forged = std::make_shared<PrAuditResponse>();
@@ -156,7 +159,7 @@ TEST(PeerReview, TamperedLogFailsAudit) {
 TEST(PeerReview, OutOfOrderLogSegmentRejected) {
   PeerReviewNode::Config cfg;
   cfg.prevalidation = preval();
-  BaselineNetwork<PeerReviewNode> net(net_cfg(4, 7), cfg);
+  Network<PeerReviewNode> net(net_cfg(4, 7), cfg);
   for (std::size_t i = 0; i < net.size(); ++i) net.node(i).set_universe(4);
 
   // Sequence numbers must be contiguous from the witness watermark; a gap
@@ -178,7 +181,7 @@ TEST(Narwhal, BatchesReachEveryone) {
   NarwhalNode::Config cfg;
   cfg.prevalidation = preval();
   cfg.num_nodes = 12;
-  BaselineNetwork<NarwhalNode> net(net_cfg(12, 9), cfg);
+  Network<NarwhalNode> net(net_cfg(12, 9), cfg);
   const auto tx = make_tx(1);
   net.node(0).submit_transaction(tx);
   net.run_for(5.0);
@@ -191,7 +194,7 @@ TEST(Narwhal, BatchesGetCertified) {
   NarwhalNode::Config cfg;
   cfg.prevalidation = preval();
   cfg.num_nodes = 12;
-  BaselineNetwork<NarwhalNode> net(net_cfg(12, 10), cfg);
+  Network<NarwhalNode> net(net_cfg(12, 10), cfg);
   net.start_workload(load_cfg(10.0, 11));
   net.run_for(10.0);
   std::uint64_t certified = 0;
@@ -208,14 +211,14 @@ TEST(Narwhal, LowerLatencyThanFloodButMoreOverhead) {
   const double tps = 10.0;
   FloodNode::Config fcfg;
   fcfg.prevalidation = preval();
-  BaselineNetwork<FloodNode> flood(net_cfg(20, 12), fcfg);
+  Network<FloodNode> flood(net_cfg(20, 12), fcfg);
   flood.start_workload(load_cfg(tps, 13));
   flood.run_for(10.0);
 
   NarwhalNode::Config ncfg;
   ncfg.prevalidation = preval();
   ncfg.num_nodes = 20;
-  BaselineNetwork<NarwhalNode> nw(net_cfg(20, 12), ncfg);
+  Network<NarwhalNode> nw(net_cfg(20, 12), ncfg);
   nw.start_workload(load_cfg(tps, 13));
   nw.run_for(10.0);
 

@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "baselines/common.hpp"
 #include "baselines/flood.hpp"
 #include "baselines/narwhal.hpp"
 #include "baselines/peerreview.hpp"
@@ -314,12 +313,12 @@ TEST(Determinism, LoMembershipSameSeedSameTrace) {
 template <typename NodeT>
 std::string run_baseline(const typename NodeT::Config& node_cfg,
                          std::uint64_t seed) {
-  baselines::BaselineNetConfig cfg;
+  harness::ScaffoldConfig cfg;
   cfg.num_nodes = 12;
   cfg.seed = seed;
   cfg.city_latency = true;
   cfg.trace = true;
-  baselines::BaselineNetwork<NodeT> net(cfg, node_cfg);
+  harness::Network<NodeT> net(cfg, node_cfg);
   net.start_workload(test::load_cfg(20.0, seed + 1000));
   net.run_for(10.0);
 

@@ -134,7 +134,7 @@ TEST(Lolint, FloatInProtocolFires) {
 
 TEST(Lolint, FloatSilentOutsideProtocolDirs) {
   const auto fs =
-      lint_as("float_in_protocol.cpp", "src/harness/float_in_protocol.cpp");
+      lint_as("float_in_protocol.cpp", "src/workload/float_in_protocol.cpp");
   EXPECT_EQ(count_rule(fs, "float-in-protocol"), 0u) << dump(fs);
 }
 
@@ -259,7 +259,10 @@ TEST(Lolint, ProtocolPathPredicate) {
   // The failure detector feeds the accountability gate, so its state machine
   // must replay deterministically under the same ruleset.
   EXPECT_TRUE(lolint::is_protocol_path("src/membership/swim.cpp"));
-  EXPECT_FALSE(lolint::is_protocol_path("src/harness/lo_network.cpp"));
+  // The network scaffold injects txs and emits kTxSubmit, kTxFinalize and
+  // kAnomaly events and registry gauges: the same replay surface as obs.
+  EXPECT_TRUE(lolint::is_protocol_path("src/harness/network.hpp"));
+  EXPECT_FALSE(lolint::is_protocol_path("src/workload/txgen.cpp"));
   EXPECT_FALSE(lolint::is_protocol_path("tests/test_util.cpp"));
   EXPECT_TRUE(lolint::is_rng_exempt_path("src/util/rng.hpp"));
   EXPECT_TRUE(lolint::is_rng_exempt_path("src/sim/simulator.cpp"));

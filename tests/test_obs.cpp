@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "baselines/common.hpp"
 #include "baselines/flood.hpp"
 #include "crypto/verify_cache.hpp"
 #include "harness/lo_network.hpp"
@@ -567,13 +566,13 @@ TEST(TraceDeterminism, LoSameSeedByteIdenticalTrace) {
 
 TEST(TraceDeterminism, BaselineSameSeedByteIdenticalTrace) {
   const auto run = [](std::uint64_t seed) {
-    baselines::BaselineNetConfig cfg;
+    harness::ScaffoldConfig cfg;
     cfg.num_nodes = 10;
     cfg.seed = seed;
     cfg.trace = true;
     baselines::FloodNode::Config node_cfg;
     node_cfg.prevalidation.sig_mode = test::kFastSig;
-    baselines::BaselineNetwork<baselines::FloodNode> net(cfg, node_cfg);
+    harness::Network<baselines::FloodNode> net(cfg, node_cfg);
     net.start_workload(test::load_cfg(15.0, seed + 1));
     net.run_for(8.0);
     return net.sim().obs().tracer.bytes();

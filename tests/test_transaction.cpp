@@ -96,16 +96,6 @@ TEST(Prevalidation, RejectsWrongCreatorKey) {
   EXPECT_FALSE(prevalidate(tx, p));
 }
 
-TEST(Prevalidation, SignatureCheckCanBeDisabled) {
-  const auto client = test_client();
-  auto tx = make_transaction(client, 1, 100, 0);
-  tx.sig[10] ^= 1;
-  tx.id = tx.compute_id();
-  PrevalidationPolicy p;
-  p.check_signatures = false;
-  EXPECT_TRUE(prevalidate(tx, p));
-}
-
 TEST(Prevalidation, SimFastModeWorks) {
   const auto client = test_client(9, crypto::SignatureMode::kSimFast);
   const auto tx = make_transaction(client, 1, 100, 0);

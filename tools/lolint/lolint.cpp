@@ -817,7 +817,8 @@ bool is_protocol_path(const std::string& path) {
   static const char* kDirs[] = {"src/core/",      "src/enforcement/",
                                 "src/consensus/", "src/baselines/",
                                 "src/overlay/",   "src/minisketch/",
-                                "src/obs/",       "src/membership/"};
+                                "src/obs/",       "src/membership/",
+                                "src/harness/"};
   for (const char* d : kDirs) {
     if (path.rfind(d, 0) == 0) return true;
   }

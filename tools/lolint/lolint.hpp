@@ -12,7 +12,8 @@
 //                       src/util/rng.* and src/sim/.
 //   [unordered-iter]    range-for / iterator loops over unordered_{map,set}
 //                       in protocol directories (core, enforcement, consensus,
-//                       baselines, overlay, minisketch).
+//                       baselines, overlay, minisketch, obs, membership,
+//                       harness).
 //   [float-in-protocol] float/double members in serialized structs, or f64()
 //                       wire calls, in protocol directories.
 //   [relative-include]  #include "../..." escaping the -Isrc include root.
