@@ -13,7 +13,8 @@
 //   BM_FieldMul32 / BM_FieldSqr32 / BM_FieldInv32
 //     — clmul+Barrett multiply, byte-sliced squaring, Itoh–Tsujii inverse;
 //   BM_SingleSketchDecodeReference — full decode over the reference-kernel
-//     field, versus BM_SingleSketchDecode on the fast field.
+//     field, versus BM_SingleSketchDecode on the fast field;
+//   BM_SketchDecodeOverflow — the rejection of an overflowed sketch.
 //
 // Besides the console table, this binary always writes machine-readable
 // results to BENCH_minisketch.json in the working directory (google-benchmark
@@ -182,6 +183,24 @@ BENCHMARK(BM_SingleSketchDecode)
     ->Arg(500)
     ->Arg(1000)
     ->Unit(benchmark::kMillisecond);
+
+// Decode of an overflowed sketch: capacity c holding 3c/2 items. The locator
+// Berlekamp–Massey emits does not split, and the root finder's first trace
+// rejects it (DESIGN.md §3d). A node hits this path whenever a peer's
+// difference outgrows the sketch it was sent.
+void BM_SketchDecodeOverflow(benchmark::State& state) {
+  const auto capacity = static_cast<std::size_t>(state.range(0));
+  const auto items = random_items(3 * capacity / 2, 43);
+  Sketch base(32, capacity);
+  for (auto v : items) base.add(v);
+  for (auto _ : state) {
+    auto out = base.decode();
+    benchmark::DoNotOptimize(out);
+    if (out) state.SkipWithError("overflowed sketch decoded");
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SketchDecodeOverflow)->Arg(32)->Arg(77)->Arg(128);
 
 // The same decode over the reference-kernel field: seed loop multiply,
 // sqr = mul, pow-ladder inverse. Kept to smaller sizes — the point is the

@@ -320,6 +320,11 @@ std::optional<ExposureMsg> ExposureMsg::deserialize(
   }
 }
 
+const crypto::Digest256& BlockMsg::hash() const {
+  if (!hash_) hash_ = block.hash();
+  return *hash_;
+}
+
 std::optional<BlockMsg> BlockMsg::deserialize(
     std::span<const std::uint8_t> data, std::uint32_t shards) {
   auto b = Block::deserialize(data, shards);

@@ -213,11 +213,20 @@ struct ExposureMsg final : sim::Payload {
 struct BlockMsg final : sim::Payload {
   Block block;
 
+  // block.hash(), computed from `block` on the first call and kept. A flooded
+  // block reaches every node as one shared payload, so the block is hashed
+  // once per payload, not once per received copy. The hash is never taken
+  // from the wire. `block` must not change after the first call.
+  const crypto::Digest256& hash() const;
+
   const char* type_name() const noexcept override { return "lo.block"; }
   std::size_t wire_size() const noexcept override { return block.wire_size(); }
   std::vector<std::uint8_t> serialize() const { return block.serialize(); }
   static std::optional<BlockMsg> deserialize(std::span<const std::uint8_t> data,
                                              std::uint32_t shards = 1);
+
+ private:
+  mutable std::optional<crypto::Digest256> hash_;
 };
 
 struct BundleRequest final : sim::Payload {

@@ -1144,13 +1144,13 @@ Block LoNode::create_block(std::uint64_t height,
         signer_.sign(std::span<const std::uint8_t>(msg.data(), msg.size()));
   }
 
-  const auto block_hash = block.hash();
+  auto bm = std::make_shared<BlockMsg>();
+  bm->block = block;
+  const auto& block_hash = bm->hash();
   tracer_->emit(obs::EventKind::kBlockBuild, id_, 0,
                 obs::short_id(std::span<const std::uint8_t>(
                     block_hash.data(), block_hash.size())),
                 block.tx_count(), 0, block.shard);
-  auto bm = std::make_shared<BlockMsg>();
-  bm->block = block;
   seen_blocks_.emplace(block_hash, bm);
   flood(bm, id_);
   return block;
@@ -1159,14 +1159,15 @@ Block LoNode::create_block(std::uint64_t height,
 void LoNode::handle_block(NodeId from, std::shared_ptr<const BlockMsg> msg) {
   const Block& block = msg->block;
   if (block.shard >= k_) return;
-  if (!seen_blocks_.emplace(block.hash(), msg).second) return;
+  if (!seen_blocks_.emplace(msg->hash(), msg).second) return;
   if (!block.verify(config_.sig_mode, &verify_cache_)) return;
   if (!behavior_.drop_gossip) flood(msg, from);
   if (block.creator == id_) return;
-  inspect_known_block(block);
+  inspect_known_block(*msg);
 }
 
-void LoNode::inspect_known_block(const Block& block) {
+void LoNode::inspect_known_block(const BlockMsg& bm) {
+  const Block& block = bm.block;
   const BundleMap mirrored = mirror_of(block.creator, block.shard);
   auto includeable = [this](const TxId& id) { return tx_includeable(id); };
   const InspectionResult res = inspect_block(block, mirrored, includeable);
@@ -1183,12 +1184,12 @@ void LoNode::inspect_known_block(const Block& block) {
     req->request_id = rid;
     sim_.send(id_, block.creator, req);
     blocks_awaiting_bundles_[ps_key(block.creator, block.shard)].push_back(
-        block.hash());
+        bm.hash());
     return;
   }
 
   if (tracer_->enabled()) {
-    const auto block_hash = block.hash();
+    const auto& block_hash = bm.hash();
     tracer_->emit(obs::EventKind::kBlockInspect, id_, block.creator,
                   obs::short_id(std::span<const std::uint8_t>(
                       block_hash.data(), block_hash.size())),
@@ -1300,7 +1301,7 @@ void LoNode::handle_bundle_response(NodeId from, const BundleResponse& resp) {
     blocks_awaiting_bundles_.erase(it);
     for (const auto& h : hashes) {
       auto bit = seen_blocks_.find(h);
-      if (bit != seen_blocks_.end()) inspect_known_block(bit->second->block);
+      if (bit != seen_blocks_.end()) inspect_known_block(*bit->second);
     }
   }
 }

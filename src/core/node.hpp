@@ -194,6 +194,8 @@ class LoNode final : public sim::INode {
   // Approximate extra memory used by accountability state (Sec. 6.5).
   std::size_t accountability_memory_bytes() const noexcept;
   std::uint64_t sketch_decodes() const noexcept { return sketch_decodes_; }
+  // Distinct blocks this node has received or built.
+  std::size_t blocks_seen() const noexcept { return seen_blocks_.size(); }
   // Sync exchanges processed that actually moved data (Fig. 10 metric).
   std::uint64_t sync_reconciliations() const noexcept { return sync_recons_; }
   const crypto::PublicKey& public_key() const noexcept {
@@ -287,7 +289,7 @@ class LoNode final : public sim::INode {
   void handle_block(NodeId from, std::shared_ptr<const BlockMsg> msg);
   void handle_bundle_request(NodeId from, const BundleRequest& req);
   void handle_bundle_response(NodeId from, const BundleResponse& resp);
-  void inspect_known_block(const Block& block);
+  void inspect_known_block(const BlockMsg& bm);
   bool tx_includeable(const TxId& id) const;
 
   // --- membership (liveness layer) ---
@@ -395,7 +397,8 @@ class LoNode final : public sim::INode {
   // again would produce; like verify_cache_, it survives crash().
   std::unordered_map<std::uint64_t, crypto::Signature> own_bundle_sigs_;
   // The payload each block arrived in (or was flooded in, for our own):
-  // one copy per block, shared with every neighbour it is forwarded to.
+  // one copy per block, shared with every neighbour it is forwarded to, and
+  // keyed on the payload's kept hash (BlockMsg::hash).
   std::unordered_map<crypto::Digest256, std::shared_ptr<const BlockMsg>,
                      TxIdHash>
       seen_blocks_;

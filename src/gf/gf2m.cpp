@@ -43,6 +43,15 @@ __attribute__((target("pclmul"))) std::uint64_t clmul64(std::uint64_t a,
 
 bool cpu_has_pclmul() { return __builtin_cpu_supports("pclmul"); }
 
+// r mod f for deg r <= 2m-1 (see Field::mul_clmul for why one quotient
+// estimate is exact).
+__attribute__((target("pclmul"))) inline std::uint64_t barrett(
+    std::uint64_t r, std::uint64_t mu, std::uint64_t mod, unsigned m,
+    std::uint64_t mask) {
+  const std::uint64_t q = clmul64(r >> m, mu) >> m;
+  return (r ^ clmul64(q, mod)) & mask;
+}
+
 // Bulk-kernel bodies live in target("pclmul") functions of their own so the
 // carry-less multiplies inline and pipeline across loop iterations instead of
 // paying a call per element (the whole point of the row-shaped API).
@@ -51,32 +60,40 @@ __attribute__((target("pclmul"))) void fma_row_clmul(
     std::size_t n, std::uint64_t mu, std::uint64_t mod, unsigned m,
     std::uint64_t mask) {
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t r = clmul64(factor, src[i]);
-    const std::uint64_t q = clmul64(r >> m, mu) >> m;
-    dst[i] ^= (r ^ clmul64(q, mod)) & mask;
+    dst[i] ^= barrett(clmul64(factor, src[i]), mu, mod, m, mask);
   }
+}
+
+// Reduction is GF(2)-linear, so unreduced products can be XOR-folded and
+// Barrett-reduced once at the end: every product of reduced operands, and so
+// every XOR of them, stays below 2m bits.
+__attribute__((target("pclmul"))) void fma_row_lazy_clmul(
+    std::uint64_t factor, const std::uint64_t* src, std::uint64_t* dst,
+    std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) dst[i] ^= clmul64(factor, src[i]);
+}
+
+__attribute__((target("pclmul"))) void reduce_row_clmul(
+    std::uint64_t* v, std::size_t n, std::uint64_t mu, std::uint64_t mod,
+    unsigned m, std::uint64_t mask) {
+  for (std::size_t i = 0; i < n; ++i) v[i] = barrett(v[i], mu, mod, m, mask);
 }
 
 __attribute__((target("pclmul"))) std::uint64_t dot_rev_clmul(
     const std::uint64_t* a, const std::uint64_t* b, std::size_t n,
     std::uint64_t mu, std::uint64_t mod, unsigned m, std::uint64_t mask) {
-  // Reduction is GF(2)-linear, so the unreduced products can be XOR-folded
-  // and Barrett-reduced once at the end (all stay below 2m bits).
   std::uint64_t acc = 0;
   for (std::size_t i = 0; i < n; ++i) {
     acc ^= clmul64(a[i], *(b - static_cast<std::ptrdiff_t>(i)));
   }
-  const std::uint64_t q = clmul64(acc >> m, mu) >> m;
-  return (acc ^ clmul64(q, mod)) & mask;
+  return barrett(acc, mu, mod, m, mask);
 }
 
 __attribute__((target("pclmul"))) void mul_many_clmul(
     std::uint64_t* p, const std::uint64_t* q, std::size_t n, std::uint64_t mu,
     std::uint64_t mod, unsigned m, std::uint64_t mask) {
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t r = clmul64(p[i], q[i]);
-    const std::uint64_t qq = clmul64(r >> m, mu) >> m;
-    p[i] = (r ^ clmul64(qq, mod)) & mask;
+    p[i] = barrett(clmul64(p[i], q[i]), mu, mod, m, mask);
   }
 }
 #else
@@ -233,6 +250,33 @@ void Field::fma_row(std::uint64_t factor, const std::uint64_t* src,
   for (std::size_t i = 0; i < n; ++i) {
     if (src[i] != 0) dst[i] ^= mul_portable(factor, src[i]);
   }
+}
+
+void Field::fma_row_lazy(std::uint64_t factor, const std::uint64_t* src,
+                         std::uint64_t* dst, std::size_t n) const noexcept {
+#if defined(__x86_64__)
+  if (clmul_) {
+    fma_row_lazy_clmul(factor, src, dst, n);
+    return;
+  }
+#endif
+  fma_row(factor, src, dst, n);
+}
+
+std::uint64_t Field::reduce(std::uint64_t acc) const noexcept {
+#if defined(__x86_64__)
+  if (clmul_) return barrett(acc, barrett_mu_, modulus_, m_, max_element_);
+#endif
+  return acc;
+}
+
+void Field::reduce_row(std::uint64_t* v, std::size_t n) const noexcept {
+#if defined(__x86_64__)
+  if (clmul_) reduce_row_clmul(v, n, barrett_mu_, modulus_, m_, max_element_);
+#else
+  (void)v;
+  (void)n;
+#endif
 }
 
 std::uint64_t Field::dot_rev(const std::uint64_t* a, const std::uint64_t* b,

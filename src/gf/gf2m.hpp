@@ -16,6 +16,8 @@
 //    lookup (ceil(m/8) x 256 entries) instead of a general multiply.
 //  - inv: Itoh–Tsujii addition chain on m-1 (a handful of multiplies plus
 //    cheap table squarings) instead of a 2m-multiply pow ladder.
+//  - lazy rows: fma_row_lazy leaves PCLMUL products unreduced, so polynomial
+//    elimination pays one Barrett fold per coefficient, not one per product.
 // The seed kernels are retained as *_reference on every instance and serve
 // as the differential oracle for the fast paths (tests/test_gf_kernels.cpp).
 //
@@ -92,6 +94,18 @@ class Field {
   // dst[i] ^= factor * src[i] for i < n. dst and src must not overlap.
   void fma_row(std::uint64_t factor, const std::uint64_t* src,
                std::uint64_t* dst, std::size_t n) const noexcept;
+
+  // fma_row without the reduction, for rows that XOR-accumulate into one
+  // buffer: factor and src must be reduced; dst then holds accumulators that
+  // reduce() / reduce_row() turn back into field elements. On the PCLMUL
+  // path (m <= 32) a product of reduced operands has at most 2m-1 bits, so
+  // the accumulators stay below 2m bits, the Barrett fold's input range. The
+  // other tiers keep the accumulators reduced, and reduce is the identity.
+  void fma_row_lazy(std::uint64_t factor, const std::uint64_t* src,
+                    std::uint64_t* dst, std::size_t n) const noexcept;
+  std::uint64_t reduce(std::uint64_t acc) const noexcept;
+  // v[i] = reduce(v[i]) for i < n.
+  void reduce_row(std::uint64_t* v, std::size_t n) const noexcept;
 
   // XOR_{i<n} a[i] * b[-i] (b walks backward; pass b = &s[k] to fold
   // a[0..n) against s[k], s[k-1], ...). The BM discrepancy kernel.

@@ -40,18 +40,6 @@ void poly_mul_into(const Field& f, const Poly& a, const Poly& b, Poly& out) {
   poly_trim(out);
 }
 
-void poly_sqr_into(const Field& f, const Poly& p, Poly& out) {
-  if (p.empty()) {
-    out.clear();
-    return;
-  }
-  out.assign(2 * p.size() - 1, 0);
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    out[2 * i] = f.sqr(p[i]);
-  }
-  poly_trim(out);
-}
-
 namespace {
 
 // The inverse of b's leading coefficient. The root finder divides by monic
@@ -62,53 +50,44 @@ std::uint64_t lead_inverse(const Field& f, const Poly& b) {
   return lead == 1 ? 1 : f.inv(lead);
 }
 
-}  // namespace
-
-void poly_mod_inplace(const Field& f, Poly& a, const Poly& b) {
+// a = a mod b, one top-down pass; records the quotient in q when given (q
+// sized to deg a - deg b + 1 by the caller). The rows XOR-accumulate
+// unreduced (Field::fma_row_lazy): a lead is reduced once, when it becomes
+// the row factor, and the remainder once, at the end.
+void eliminate(const Field& f, Poly& a, const Poly& b, Poly* q) {
   const int db = poly_deg(b);
   int da = poly_deg(a);
   if (da < db) return;
   const std::uint64_t lead_inv = lead_inverse(f, b);
-  while (da >= db) {
-    const auto ida = static_cast<std::size_t>(da);
-    if (a[ida] != 0) {
-      const std::uint64_t factor =
-          lead_inv == 1 ? a[ida] : f.mul(a[ida], lead_inv);
-      const std::size_t shift = static_cast<std::size_t>(da - db);
-      f.fma_row(factor, b.data(), a.data() + shift,
-                static_cast<std::size_t>(db));
-      a[ida] = 0;
-    }
-    --da;
+  for (; da >= db; --da) {
+    const std::uint64_t lead = f.reduce(a[static_cast<std::size_t>(da)]);
+    if (lead == 0) continue;
+    const std::uint64_t factor = lead_inv == 1 ? lead : f.mul(lead, lead_inv);
+    const auto shift = static_cast<std::size_t>(da - db);
+    if (q != nullptr) (*q)[shift] = factor;
+    f.fma_row_lazy(factor, b.data(), a.data() + shift,
+                   static_cast<std::size_t>(db));
   }
   a.resize(static_cast<std::size_t>(db > 0 ? db : 0));
+  f.reduce_row(a.data(), a.size());
   poly_trim(a);
+}
+
+}  // namespace
+
+void poly_mod_inplace(const Field& f, Poly& a, const Poly& b) {
+  eliminate(f, a, b, nullptr);
 }
 
 void poly_divmod_inplace(const Field& f, Poly& a, const Poly& b, Poly& q) {
   const int db = poly_deg(b);
-  int da = poly_deg(a);
+  const int da = poly_deg(a);
   if (da < db) {
     q.clear();
     return;
   }
   q.assign(static_cast<std::size_t>(da - db) + 1, 0);
-  const std::uint64_t lead_inv = lead_inverse(f, b);
-  while (da >= db) {
-    const auto ida = static_cast<std::size_t>(da);
-    if (a[ida] != 0) {
-      const std::uint64_t factor =
-          lead_inv == 1 ? a[ida] : f.mul(a[ida], lead_inv);
-      const std::size_t shift = static_cast<std::size_t>(da - db);
-      q[shift] = factor;
-      f.fma_row(factor, b.data(), a.data() + shift,
-                static_cast<std::size_t>(db));
-      a[ida] = 0;
-    }
-    --da;
-  }
-  a.resize(static_cast<std::size_t>(db > 0 ? db : 0));
-  poly_trim(a);
+  eliminate(f, a, b, &q);
   poly_trim(q);
 }
 
@@ -153,8 +132,10 @@ std::uint64_t poly_eval(const Field& f, const Poly& p, std::uint64_t x) {
 }
 
 Poly poly_sqr(const Field& f, const Poly& p) {
-  Poly r;
-  poly_sqr_into(f, p, r);
+  if (p.empty()) return {};
+  Poly r(2 * p.size() - 1, 0);
+  for (std::size_t i = 0; i < p.size(); ++i) r[2 * i] = f.sqr(p[i]);
+  poly_trim(r);
   return r;
 }
 

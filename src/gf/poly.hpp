@@ -58,9 +58,6 @@ void poly_add_inplace(Poly& a, const Poly& b);
 // out = a * b; out must not alias a or b.
 void poly_mul_into(const Field& f, const Poly& a, const Poly& b, Poly& out);
 
-// out = p^2; out must not alias p.
-void poly_sqr_into(const Field& f, const Poly& p, Poly& out);
-
 // a = a mod b; precondition: b != 0. Single top-down elimination pass with
 // degree tracking (no repeated trim scans).
 void poly_mod_inplace(const Field& f, Poly& a, const Poly& b);

@@ -18,12 +18,16 @@
 namespace lo::gf {
 
 // Reusable scratch for the workspace overload: shared buffers for the
-// Frobenius / trace chains plus a PolyPool for the splitter's per-level
-// factors. A decoder that owns a RootWorkspace finds roots allocation-free
-// in steady state (only the pool grows, up to the deepest split seen).
+// trace chains plus a PolyPool for the splitter's per-level factors. A
+// decoder that owns a RootWorkspace finds roots allocation-free in steady
+// state (only the pool grows, up to the deepest split seen).
 struct RootWorkspace {
-  Poly frob;      // running (.)^(2^i) mod f chain
+  Poly frob;      // running (beta x)^(2^i) mod f chain
   Poly sqr_tmp;   // squaring scratch for the chain
+  // x^(2j) mod f for j in [ceil(d/2), d), d coefficients per row, for the
+  // divisor f of degree d being split: floor(d/2) * d elements, 64 KiB at
+  // d = 128.
+  std::vector<std::uint64_t> sqr_mod;
   Poly trace;     // accumulated trace polynomial
   Poly trace1;    // trace + 1 (the complementary gcd argument)
   Poly gcd_tmp;   // clobber copy for gcd's second argument

@@ -99,9 +99,10 @@ class Decoder {
  public:
   std::optional<std::vector<std::uint64_t>> decode(const Sketch& s);
 
-  // Retained capacity of the syndrome-expansion buffer (elements). This is
-  // the workspace's dominant allocation and what the high-water clamp
-  // manages; exposed so the clamp behavior is testable.
+  // Retained capacity of the syndrome-expansion buffer (elements). The
+  // high-water clamp keys on it and releases every buffer with it,
+  // including the root finder's square-mod table (about c^2/2 elements for
+  // a capacity-c locator); exposed so the clamp behavior is testable.
   std::size_t workspace_capacity() const noexcept { return syn_.capacity(); }
 
  private:

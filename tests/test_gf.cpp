@@ -3,6 +3,10 @@
 // trace-based root finder.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <set>
+#include <vector>
+
 #include "gf/berlekamp_massey.hpp"
 #include "gf/gf2m.hpp"
 #include "gf/poly.hpp"
@@ -342,6 +346,93 @@ TEST(RootFind, LargeSplitPoly) {
   ASSERT_TRUE(found.has_value());
   EXPECT_EQ(found->size(), 64u);
 }
+
+// The root finder rejects a locator that does not split when T^2 != T for
+// its first trace T. The oracle below is the definition instead: p splits
+// into distinct linear factors iff x^(2^m) == x (mod p), by m explicit
+// squarings with poly_sqr and poly_mod.
+bool frobenius_fixes_x(const Field& f, const Poly& p) {
+  const Poly x = poly_mod(f, Poly{0, 1}, p);
+  Poly r = x;
+  for (unsigned i = 0; i < f.bits(); ++i) r = poly_mod(f, poly_sqr(f, r), p);
+  return r == x;
+}
+
+std::vector<std::uint64_t> distinct_elements(const Field& f, util::Rng& rng,
+                                             std::size_t n) {
+  std::set<std::uint64_t> seen;
+  std::vector<std::uint64_t> out;
+  while (out.size() < n) {
+    const std::uint64_t v = rng.next() & f.order();
+    if (seen.insert(v).second) out.push_back(v);
+  }
+  return out;
+}
+
+Poly from_roots(const Field& f, const std::vector<std::uint64_t>& roots) {
+  Poly p{1};
+  for (auto r : roots) p = poly_mul(f, p, Poly{r, 1});
+  return p;
+}
+
+// x^2 + x + c is irreducible over GF(2^m) iff the absolute trace of c is 1.
+Poly irreducible_quadratic(const Field& f, util::Rng& rng) {
+  for (;;) {
+    const std::uint64_t c = rng.next() & f.order();
+    std::uint64_t trace = 0;
+    for (std::uint64_t t = c, i = 0; i < f.bits(); ++i, t = f.sqr(t)) trace ^= t;
+    if (trace == 1) return Poly{c, 1, 1};
+  }
+}
+
+class RootFindSplitCheck : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(RootFindSplitCheck, RejectsExactlyWhereFrobeniusMovesX) {
+  const unsigned m = GetParam();
+  for (const Field* f : {&Field::get(m), &Field::get_reference(m)}) {
+    util::Rng rng(0x5717 ^ m);
+    for (std::size_t d : {2u, 3u, 4u, 7u, 33u, 64u, 130u}) {
+      const auto roots = distinct_elements(*f, rng, d);
+      const Poly head = from_roots(
+          *f, std::vector<std::uint64_t>(roots.begin(), roots.end() - 2));
+      const std::uint64_t twice = roots[d - 2];
+      Poly random_monic(d + 1);
+      for (auto& c : random_monic) c = rng.next() & f->order();
+      random_monic.back() = 1;
+      struct Case {
+        const char* name;
+        Poly p;
+        int want;  // 1 splits, 0 does not, -1 whatever the oracle says
+      };
+      const std::array<Case, 4> cases = {{
+          {"random monic", random_monic, -1},
+          {"distinct linears", from_roots(*f, roots), 1},
+          {"repeated root",
+           poly_mul(*f, head, Poly{f->sqr(twice), 0, 1}), 0},
+          {"irreducible quadratic factor",
+           poly_mul(*f, head, irreducible_quadratic(*f, rng)), 0},
+      }};
+      for (const auto& c : cases) {
+        ASSERT_EQ(poly_deg(c.p), static_cast<int>(d)) << c.name;
+        const bool oracle = frobenius_fixes_x(*f, c.p);
+        if (c.want >= 0) {
+          EXPECT_EQ(oracle, c.want == 1) << c.name << " m=" << m << " d=" << d;
+        }
+        const auto found = find_roots(*f, c.p, d);
+        EXPECT_EQ(found.has_value(), oracle)
+            << c.name << " m=" << m << " d=" << d
+            << (f->kernel() == Field::Kernel::kReference ? " reference" : "");
+        if (c.want == 1 && found) {
+          EXPECT_EQ(std::set<std::uint64_t>(found->begin(), found->end()),
+                    std::set<std::uint64_t>(roots.begin(), roots.end()));
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllFieldSizes, RootFindSplitCheck,
+                         ::testing::Values(8u, 16u, 24u, 32u, 48u, 63u));
 
 }  // namespace
 }  // namespace lo::gf

@@ -137,6 +137,23 @@ TEST_P(GfKernelDifferential, BulkKernelsMatchElementwiseReference) {
       }
       EXPECT_EQ(f->dot_rev(src.data(), &q[n - 1], n), dot_want);
 
+      // fma_row_lazy rows XOR-accumulated into one buffer, then reduce_row
+      // (and reduce, element by element): the reduced sum of the products.
+      std::vector<std::uint64_t> lazy = dst;
+      std::vector<std::uint64_t> lazy_want = dst;
+      for (int row = 0; row < 9; ++row) {
+        const std::uint64_t fac = draw(rng, *f);
+        for (std::size_t i = 0; i < n; ++i) {
+          lazy_want[i] ^= f->mul_reference(fac, src[i]);
+        }
+        f->fma_row_lazy(fac, src.data(), lazy.data(), n);
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(f->reduce(lazy[i]), lazy_want[i]) << "m=" << m << " i=" << i;
+      }
+      f->reduce_row(lazy.data(), n);
+      EXPECT_EQ(lazy, lazy_want) << "m=" << m << " n=" << n;
+
       // mul_many: q[i] *= src[i].
       std::vector<std::uint64_t> prod_want(n);
       for (std::size_t i = 0; i < n; ++i) {

@@ -203,6 +203,31 @@ TEST(LoscopeCensorship, BlocklessTracesSettleOnFirstCommit) {
   EXPECT_EQ(r.never_settled, 1u);
 }
 
+TEST(LoscopeCensorship, BlocklessTracesSettleOnFirstAdmit) {
+  // Flood, PeerReview and Narwhal emit kTxAdmit and never kTxCommit: their
+  // txs settle at the first admit anywhere, like the harness settle rule.
+  Tracer t;
+  std::int64_t now = 0;
+  t.set_clock(&now);
+  t.enable(true);
+  now = 1000;
+  t.emit(EventKind::kTxSubmit, 0, 0, 0x44);
+  now = 2500;
+  t.emit(EventKind::kTxAdmit, 0, 0, 0x44);
+  now = 6000;
+  t.emit(EventKind::kTxAdmit, 1, 0, 0x44);
+  now = 7000;
+  t.emit(EventKind::kTxSubmit, 0, 0, 0x55);  // never admitted
+  const auto m = TraceModel::build(Tracer::from_bytes(t.bytes()));
+  const auto r = loscope::censorship(m);
+  EXPECT_FALSE(r.uses_blocks);
+  ASSERT_EQ(r.entries.size(), 2u);
+  EXPECT_TRUE(r.entries[0].settled);
+  EXPECT_DOUBLE_EQ(r.entries[0].dwell_s, 0.0015);
+  EXPECT_FALSE(r.entries[1].settled);
+  EXPECT_EQ(r.never_settled, 1u);
+}
+
 // --------------------------------------------------------------- detection ----
 
 TEST(LoscopeDetection, DecomposesProofSuspicionExposure) {

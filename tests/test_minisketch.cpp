@@ -232,6 +232,62 @@ TEST(Sketch, FastAndReferenceFieldsDecodeIdentically) {
     ASSERT_TRUE(dr.has_value());
     EXPECT_EQ(*df, *dr);
   }
+  // An overflowed capacity-128 sketch (200 items: both fields must reject,
+  // the rejection path of the root finder), and a 100-element difference
+  // (a deep split: both fields must return the same roots in the same
+  // order).
+  struct Case {
+    std::size_t capacity;
+    int items;
+    bool decodes;
+  };
+  for (const Case c : {Case{128, 200, false}, Case{128, 100, true}}) {
+    for (unsigned bits : {16u, 32u, 63u}) {
+      Sketch fast(gf::Field::get(bits), c.capacity);
+      Sketch ref(gf::Field::get_reference(bits), c.capacity);
+      util::Rng rng(bits + 1000 * static_cast<unsigned>(c.items));
+      for (int i = 0; i < c.items; ++i) {
+        const auto v = rng.next();
+        fast.add(v);
+        ref.add(v);
+      }
+      ASSERT_EQ(fast.syndromes(), ref.syndromes()) << "bits=" << bits;
+      const auto df = fast.decode();
+      const auto dr = ref.decode();
+      ASSERT_EQ(df.has_value(), c.decodes) << "bits=" << bits;
+      ASSERT_EQ(dr.has_value(), c.decodes) << "bits=" << bits;
+      if (c.decodes) {
+        EXPECT_EQ(df->size(), static_cast<std::size_t>(c.items));
+        EXPECT_EQ(*df, *dr) << "bits=" << bits;
+      }
+    }
+  }
+}
+
+TEST(Sketch, SeededDecodeKeepsItsRootOrder) {
+  // Nodes walk a decoded difference in the order the root finder returns it,
+  // so the order is part of every simulation's output. This pins the order
+  // of one seeded capacity-64 decode over the shared GF(2^32) field: faster
+  // arithmetic must find the same roots in the same beta-driven order.
+  Sketch s(32, 64);
+  util::Rng rng(64);
+  for (int i = 0; i < 64; ++i) s.add(rng.next());
+  const std::vector<std::uint64_t> want = {
+      0xcdf11bce, 0x56cd86a7, 0xdfa01c5f, 0x7a839378, 0x6307a163, 0xd6eea6aa,
+      0x6e3e38c5, 0xaa1e6ad1, 0x25369185, 0xdbe6f681, 0xac4263d0, 0x79ced651,
+      0xba664fc6, 0xcf0aa277, 0x437e5fb2, 0xdf712c17, 0xa6ce4f51, 0x29b76a6a,
+      0xf4de685b, 0x3a63c27a, 0x8e8afd5c, 0xb92c9b9e, 0x2c33a58b, 0x8336e72c,
+      0xc7e9bce6, 0xeeba3215, 0x8bd3a9a6, 0x014068a8, 0x1bee97cd, 0x26c9cc2b,
+      0x8e1c0ae9, 0x7eb88ca0, 0xf73db5d0, 0x21012ccb, 0xaee7c9f1, 0xb80a1b20,
+      0x59429f37, 0x5946e1ba, 0x752e631a, 0x8f11f3a7, 0x8f458170, 0x2ab3bf21,
+      0x5528f10e, 0x4c88dfff, 0x8bb24e46, 0x07c4841b, 0x26d248e3, 0x48222e94,
+      0x41e8f773, 0x014f04e3, 0x30369274, 0xd20cb198, 0xb3b4647a, 0x458c3a3a,
+      0xe61653d6, 0x6d6ff4d1, 0x1956f386, 0x5da78e25, 0x6926d5ba, 0x357e7ea4,
+      0x15e311ae, 0xc41af07f, 0x0244d954, 0xc510af4f,
+  };
+  const auto got = s.decode();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, want);
 }
 
 TEST(Sketch, WireSizeMatchesPaperScale) {

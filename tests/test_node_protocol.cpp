@@ -155,6 +155,38 @@ TEST(NodeProtocol, RepeatedBundleRequestsReuseTheOwnersSignature) {
   }
 }
 
+TEST(NodeProtocol, BlockIsKeptAndFloodedOncePerContent) {
+  // Node 1 receives one block payload twice, then a separately built payload
+  // carrying the same block. It keeps one entry and floods the block once;
+  // each payload hashes its own block.
+  harness::LoNetwork net(tiny(3, 12));
+  const core::Block block =
+      net.node(0).create_block(1, crypto::Digest256{}, 0);
+  auto payload = std::make_shared<core::BlockMsg>();
+  payload->block = block;
+  auto copy = std::make_shared<core::BlockMsg>();
+  copy->block = block;
+  const auto block_sends = [&net] {
+    const auto& by_class = net.sim().bandwidth().by_class();
+    const auto it = by_class.find("lo.block");
+    return it == by_class.end() ? std::uint64_t{0} : it->second.messages;
+  };
+  // Deliver from a node that is not a neighbour of node 1, so the flood
+  // reaches every neighbour.
+  BundleProbe outsider;
+  const sim::NodeId stranger = net.sim().add_node(&outsider);
+  const std::uint64_t before = block_sends();
+  net.node(1).on_message(stranger, payload);
+  const std::uint64_t one_flood = block_sends() - before;
+  EXPECT_EQ(one_flood, net.node(1).neighbors().size());
+  net.node(1).on_message(stranger, payload);
+  net.node(1).on_message(stranger, copy);
+  EXPECT_EQ(block_sends() - before, one_flood);
+  EXPECT_EQ(net.node(1).blocks_seen(), 1u);
+  EXPECT_EQ(payload->hash(), block.hash());
+  EXPECT_EQ(copy->hash(), block.hash());
+}
+
 TEST(NodeProtocol, SilentPeerSuspectedAfterTimeoutAndRetries) {
   auto cfg = tiny(2, 7);
   cfg.malicious_fraction = 0.5;  // node pool of 2 -> 1 malicious

@@ -196,6 +196,9 @@ CensorshipReport censorship(const TraceModel& m) {
           if (!submitted) e.submit_at = ev.at;
           submitted = true;
           break;
+        case EventKind::kTxAdmit:
+          if (e.first_admit_at < 0) e.first_admit_at = ev.at;
+          break;
         case EventKind::kTxCommit:
           if (e.first_commit_at < 0) e.first_commit_at = ev.at;
           break;
@@ -210,8 +213,15 @@ CensorshipReport censorship(const TraceModel& m) {
       }
     }
     if (!submitted) continue;  // trace fragment without the submission
+    // Without blocks a tx settles at its first admit or commit, whichever is
+    // first: the baselines emit only admits, and LØ admits and commits in
+    // the same dispatch.
+    const auto earliest = [](std::int64_t a, std::int64_t b) {
+      return a < 0 ? b : b < 0 ? a : std::min(a, b);  // -1 = never
+    };
     const std::int64_t settled_at =
-        r.uses_blocks ? e.first_finalize_at : e.first_commit_at;
+        r.uses_blocks ? e.first_finalize_at
+                      : earliest(e.first_admit_at, e.first_commit_at);
     e.settled = settled_at >= 0;
     e.dwell_s = to_s((e.settled ? settled_at : m.end_at) - e.submit_at);
     if (!e.settled) ++r.never_settled;
@@ -402,7 +412,7 @@ std::string render_censorship(const CensorshipReport& r, Format f) {
             "{\n  \"settle\": \"%s\",\n  \"never_settled\": %zu,\n"
             "  \"proven_censored\": %zu,\n"
             "  \"max_dwell_s\": %.6f,\n  \"entries\": [\n",
-            r.uses_blocks ? "block_inclusion" : "first_commit",
+            r.uses_blocks ? "block_inclusion" : "first_admit_or_commit",
             r.never_settled, r.proven_censored, r.max_dwell_s);
     for (std::size_t i = 0; i < r.entries.size(); ++i) {
       const auto& e = r.entries[i];
@@ -427,7 +437,7 @@ std::string render_censorship(const CensorshipReport& r, Format f) {
     return out;
   }
   appendf(out, "settle criterion  %s\n",
-          r.uses_blocks ? "first block inclusion" : "first commit");
+          r.uses_blocks ? "first block inclusion" : "first admit or commit");
   appendf(out, "txs tracked       %zu\n", r.entries.size());
   appendf(out, "never settled     %zu\n", r.never_settled);
   appendf(out, "proven censored   %zu\n", r.proven_censored);

@@ -10,8 +10,9 @@
 //               inclusion and (for censored txs) inspection -> suspicion ->
 //               exposure — with per-hop latencies and the causal critical
 //               path walked over span parents;
-//   censorship  dwell-time report: submit -> first commit per tx, plus the
-//               txs that never committed and the kTxCensored proofs;
+//   censorship  dwell-time report: submit -> settle per tx (first block
+//               inclusion, or without blocks the first admit or commit),
+//               plus the txs that never settled and the kTxCensored proofs;
 //   detection   decomposition of accountability latency per accused node:
 //               first censorship proof -> first suspicion -> first exposure;
 //   shards      per-shard rollups of shard-scoped events;
@@ -84,11 +85,14 @@ struct Lineage {
 };
 
 // Per-tx censorship dwell entry. "Settled" is first block inclusion when the
-// trace contains block production (kBlockBuild), first commit otherwise —
-// matching the harness AnomalyMonitor's settle definition.
+// trace contains block production (kBlockBuild), and the first mempool admit
+// or commit anywhere otherwise — matching the harness AnomalyMonitor's
+// settle definition (a tx settles at its first admit until block production
+// starts).
 struct DwellEntry {
   std::uint64_t txid = 0;
   std::int64_t submit_at = 0;
+  std::int64_t first_admit_at = -1;     // -1 = never admitted in-trace
   std::int64_t first_commit_at = -1;    // -1 = never committed in-trace
   std::int64_t first_finalize_at = -1;  // -1 = never included in a block
   double dwell_s = 0.0;  // submit -> settled, or -> trace end if never
@@ -97,7 +101,7 @@ struct DwellEntry {
 };
 
 struct CensorshipReport {
-  bool uses_blocks = false;  // settle = finalize (true) or commit (false)
+  bool uses_blocks = false;  // settle = finalize (true), admit/commit (false)
   std::vector<DwellEntry> entries;  // ascending txid
   std::size_t never_settled = 0;
   std::size_t proven_censored = 0;
