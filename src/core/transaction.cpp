@@ -27,10 +27,9 @@ std::vector<std::uint8_t> Transaction::signing_bytes() const {
   return w.take_u8();
 }
 
-TxId Transaction::compute_id() const {
-  auto bytes = signing_bytes();
+TxId Transaction::compute_id(std::span<const std::uint8_t> signing) const {
   crypto::Sha256 h;
-  h.update(std::span<const std::uint8_t>(bytes.data(), bytes.size()));
+  h.update(signing);
   h.update(std::span<const std::uint8_t>(sig.data(), sig.size()));
   return h.finalize();
 }
@@ -79,18 +78,20 @@ Transaction make_transaction(const crypto::Signer& client, std::uint64_t nonce,
   // Give the body deterministic non-trivial content derived from the fields.
   std::uint64_t s = nonce ^ (fee << 20);
   for (auto& b : tx.body) b = static_cast<std::uint8_t>(util::splitmix64(s));
-  auto msg = tx.signing_bytes();
+  const auto msg = tx.signing_bytes();
   tx.sig = client.sign(std::span<const std::uint8_t>(msg.data(), msg.size()));
-  tx.id = tx.compute_id();
+  tx.id = tx.compute_id(msg);
   return tx;
 }
 
 bool prevalidate(const Transaction& tx, const PrevalidationPolicy& policy,
                  crypto::VerifyCache* cache) {
   if (tx.fee < policy.min_fee) return false;
-  if (tx.compute_id() != tx.id) return false;
-  auto msg = tx.signing_bytes();
+  // One build of the signed bytes serves the id check and the signature
+  // check; a bad id returns before the cache sees the tx.
+  const auto msg = tx.signing_bytes();
   const std::span<const std::uint8_t> m(msg.data(), msg.size());
+  if (tx.compute_id(m) != tx.id) return false;
   return cache ? cache->verify(policy.sig_mode, tx.creator, m, tx.sig)
                : crypto::Signer::verify(policy.sig_mode, tx.creator, m, tx.sig);
 }

@@ -40,8 +40,11 @@ struct Transaction {
 
   // Bytes covered by the client signature (everything except id and sig).
   std::vector<std::uint8_t> signing_bytes() const;
-  // Recomputes the id from the current field values.
-  TxId compute_id() const;
+  // Recomputes the id from the current field values. The overload hashes
+  // `signing`, which must be this tx's signing_bytes(), instead of building
+  // them again.
+  TxId compute_id() const { return compute_id(signing_bytes()); }
+  TxId compute_id(std::span<const std::uint8_t> signing) const;
 };
 
 // Creates a signed transaction whose wire size is exactly kTxWireSize.

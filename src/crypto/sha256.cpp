@@ -2,6 +2,10 @@
 
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace lo::crypto {
 
 namespace {
@@ -38,7 +42,8 @@ void Sha256::reset() noexcept {
   buf_len_ = 0;
 }
 
-void Sha256::compress(const std::uint8_t* block) noexcept {
+void detail::sha256_compress_portable(std::uint32_t* state,
+                                      const std::uint8_t* block) noexcept {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
@@ -52,8 +57,8 @@ void Sha256::compress(const std::uint8_t* block) noexcept {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3];
-  std::uint32_t e = h_[4], f = h_[5], g = h_[6], h = h_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
     const std::uint32_t ch = (e & f) ^ (~e & g);
@@ -70,14 +75,85 @@ void Sha256::compress(const std::uint8_t* block) noexcept {
     b = a;
     a = t1 + t2;
   }
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
-  h_[5] += f;
-  h_[6] += g;
-  h_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+#if defined(__x86_64__)
+namespace {
+
+// Four rounds per step on SHA256RNDS2, which keeps the state as the lane
+// pairs ABEF and CDGH and takes two message-plus-constant words per call;
+// SHA256MSG1/MSG2 extend the schedule four words at a time. w[j % 4] holds
+// schedule words 4j..4j+3.
+__attribute__((target("sha,sse4.1,ssse3"))) void compress_shani(
+    std::uint32_t* state, const std::uint8_t* block) noexcept {
+  const __m128i byteswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  const __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  const __m128i hgfe =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xb1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+  const __m128i abef_in = abef;
+  const __m128i cdgh_in = cdgh;
+
+  __m128i w[4];
+#pragma GCC unroll 16
+  for (int j = 0; j < 16; ++j) {
+    __m128i& wj = w[j & 3];
+    if (j < 4) {
+      wj = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * j)),
+          byteswap);
+    } else {
+      const __m128i& w1 = w[(j + 3) & 3];  // words 4j-4..4j-1
+      const __m128i& w2 = w[(j + 2) & 3];  // words 4j-8..4j-5
+      wj = _mm_sha256msg2_epu32(
+          _mm_add_epi32(_mm_sha256msg1_epu32(wj, w[(j + 1) & 3]),
+                        _mm_alignr_epi8(w1, w2, 4)),
+          w1);
+    }
+    const __m128i wk = _mm_add_epi32(
+        wj, _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * j)));
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+  }
+
+  abef = _mm_add_epi32(abef, abef_in);
+  cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xf0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+}  // namespace
+#endif
+
+detail::Sha256Compress detail::sha256_compress_picked() noexcept {
+#if defined(__x86_64__)
+  // Decided once, on first use. That use may be a hash in a static
+  // initializer that runs before libgcc's own CPU detection, hence the
+  // explicit __builtin_cpu_init().
+  static const Sha256Compress picked =
+      (__builtin_cpu_init(), __builtin_cpu_supports("sha"))
+          ? &compress_shani
+          : &sha256_compress_portable;
+  return picked;
+#else
+  return &sha256_compress_portable;
+#endif
 }
 
 Sha256& Sha256::update(std::span<const std::uint8_t> data) noexcept {
@@ -142,6 +218,14 @@ Digest256 sha256(std::span<const std::uint8_t> data) noexcept {
 Digest256 sha256(std::string_view s) noexcept {
   Sha256 h;
   h.update(s);
+  return h.finalize();
+}
+
+Digest256 detail::sha256_with(Sha256Compress body,
+                              std::span<const std::uint8_t> data) noexcept {
+  Sha256 h;
+  h.body_ = body;
+  h.update(data);
   return h.finalize();
 }
 

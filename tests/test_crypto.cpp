@@ -78,6 +78,70 @@ TEST(Sha256, PaddingBoundaries) {
   }
 }
 
+// ----------------------------------------------------- SHA-256 kernels ----
+
+// Hashed while the binary's statics initialize, before main(): the kernel
+// tier is picked on a process's first hash, which may come that early.
+const Digest256 kAbcHashedBeforeMain = sha256("abc");
+
+TEST(Sha256Kernel, PicksShaNiWhereTheCpuHasIt) {
+#if defined(__x86_64__)
+  const bool cpu_has_sha = __builtin_cpu_supports("sha") != 0;
+#else
+  const bool cpu_has_sha = false;
+#endif
+  EXPECT_EQ(detail::sha256_compress_picked() != &detail::sha256_compress_portable,
+            cpu_has_sha);
+  EXPECT_EQ(to_hex(kAbcHashedBeforeMain),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
+TEST(Sha256Kernel, ShaNiMatchesPortable) {
+  const detail::Sha256Compress shani = detail::sha256_compress_picked();
+  if (shani == &detail::sha256_compress_portable) {
+    GTEST_SKIP() << "no SHA-NI on this CPU or build: the portable body is "
+                    "the only one";
+  }
+  using State = std::array<std::uint32_t, 8>;
+  using Block = std::array<std::uint8_t, 64>;
+  const auto bodies_agree = [&](State state, const Block& block) {
+    State fast = state;
+    detail::sha256_compress_portable(state.data(), block.data());
+    shani(fast.data(), block.data());
+    return fast == state;
+  };
+  util::Rng rng(26);
+  const auto random_state = [&] {
+    State s;
+    for (auto& word : s) word = static_cast<std::uint32_t>(rng.next());
+    return s;
+  };
+
+  Block block;
+  for (int i = 0; i < 10000; ++i) {
+    for (auto& b : block) b = static_cast<std::uint8_t>(rng.next());
+    ASSERT_TRUE(bodies_agree(random_state(), block)) << "random block " << i;
+  }
+  const State iv = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                    0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  for (const std::uint8_t fill : {std::uint8_t{0x00}, std::uint8_t{0xff}}) {
+    block.fill(fill);
+    EXPECT_TRUE(bodies_agree(iv, block)) << "fill " << int{fill};
+    EXPECT_TRUE(bodies_agree(random_state(), block)) << "fill " << int{fill};
+  }
+
+  // Whole digests, padding included, at every length up to 16 blocks.
+  std::vector<std::uint8_t> msg(1024);
+  for (auto& b : msg) b = static_cast<std::uint8_t>(rng.next());
+  for (std::size_t len = 0; len <= msg.size(); ++len) {
+    const std::span<const std::uint8_t> m(msg.data(), len);
+    const Digest256 portable =
+        detail::sha256_with(&detail::sha256_compress_portable, m);
+    ASSERT_EQ(detail::sha256_with(shani, m), portable) << "length " << len;
+    ASSERT_EQ(sha256(m), portable) << "length " << len;
+  }
+}
+
 // ------------------------------------------------------------- SHA-512 ----
 
 TEST(Sha512, NistVectors) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/transaction.hpp"
+#include "crypto/verify_cache.hpp"
 
 namespace lo::core {
 namespace {
@@ -94,6 +95,23 @@ TEST(Prevalidation, RejectsWrongCreatorKey) {
   tx.id = tx.compute_id();
   PrevalidationPolicy p;
   EXPECT_FALSE(prevalidate(tx, p));
+}
+
+TEST(Prevalidation, BadIdNeverProbesTheCache) {
+  const auto client = test_client();
+  auto tx = make_transaction(client, 1, 100, 0);
+  tx.id[0] ^= 1;
+  crypto::VerifyCache cache;
+  EXPECT_FALSE(prevalidate(tx, PrevalidationPolicy{}, &cache));
+  const crypto::VerifyCacheStats s = cache.stats();
+  EXPECT_EQ(s.key_hits, 0u);
+  EXPECT_EQ(s.key_misses, 0u);
+  EXPECT_EQ(s.memo_hits, 0u);
+  EXPECT_EQ(s.memo_misses, 0u);
+  // The same tx with its id restored does probe it.
+  tx.id[0] ^= 1;
+  EXPECT_TRUE(prevalidate(tx, PrevalidationPolicy{}, &cache));
+  EXPECT_EQ(cache.stats().memo_misses, 1u);
 }
 
 TEST(Prevalidation, SimFastModeWorks) {
