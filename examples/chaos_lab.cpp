@@ -14,6 +14,7 @@
 #include <cstdio>
 
 #include "harness/lo_network.hpp"
+#include "obs/metrics.hpp"
 
 int main(int argc, char** argv) {
   using namespace lo;
@@ -90,7 +91,10 @@ int main(int argc, char** argv) {
       ++converged;
     }
   }
-  const auto stats = net.total_stats();
+  const auto counters = obs::rollup(net.sim().obs().registry.snapshot());
+  const auto count = [&counters](const char* name) {
+    return static_cast<unsigned long long>(counters.at(name).counter);
+  };
   std::printf("\n== aftermath ==\n");
   std::printf("transactions injected     %llu\n",
               static_cast<unsigned long long>(total));
@@ -99,11 +103,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(net.faults().crashes_injected()),
               static_cast<unsigned long long>(net.faults().restarts_injected()));
   std::printf("timeouts / retries        %llu / %llu\n",
-              static_cast<unsigned long long>(stats.timeouts_fired),
-              static_cast<unsigned long long>(stats.retries_sent));
+              count("lo.timeouts_fired"), count("lo.retries_sent"));
   std::printf("suspicions raised/retracted %llu / %llu\n",
-              static_cast<unsigned long long>(stats.suspicions_raised),
-              static_cast<unsigned long long>(stats.suspicions_retracted));
+              count("lo.suspicions_raised"), count("lo.suspicions_retracted"));
   std::printf("invariant violations      %zu\n",
               net.invariant_violations().size());
 

@@ -3,8 +3,8 @@
 namespace lo::baselines {
 
 FloodNode::FloodNode(sim::Simulator& sim, core::NodeId id,
-                     const Config& config, core::Hooks* hooks)
-    : sim_(sim), id_(id), config_(config), hooks_(hooks) {}
+                     const Config& config)
+    : sim_(sim), id_(id), config_(config) {}
 
 void FloodNode::submit_transaction(const core::Transaction& tx) {
   admit(tx, id_);
@@ -15,10 +15,8 @@ void FloodNode::admit(const core::Transaction& tx, core::NodeId source) {
   if (!prevalidate(tx, config_.prevalidation)) return;
   store_.emplace(tx.id, tx);
   sim_.obs().tracer.emit(obs::EventKind::kTxAdmit, id_, source,
-                         core::txid_short(tx.id), store_.size());
-  if (hooks_ != nullptr && hooks_->on_mempool_admit) {
-    hooks_->on_mempool_admit(id_, tx, sim_.now());
-  }
+                         core::txid_short(tx.id),
+                         static_cast<std::uint64_t>(tx.created_at));
   announce_queue_.push_back(tx.id);
   if (!announce_armed_) {
     announce_armed_ = true;

@@ -12,7 +12,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "core/node.hpp"
 #include "core/transaction.hpp"
 #include "core/types.hpp"
 #include "sim/simulator.hpp"
@@ -54,8 +53,7 @@ class FloodNode final : public sim::INode {
     sim::Duration announce_delay = 100 * sim::kMillisecond;
   };
 
-  FloodNode(sim::Simulator& sim, core::NodeId id, const Config& config,
-            core::Hooks* hooks);
+  FloodNode(sim::Simulator& sim, core::NodeId id, const Config& config);
 
   void set_neighbors(std::vector<core::NodeId> neighbors) {
     neighbors_ = std::move(neighbors);
@@ -75,7 +73,6 @@ class FloodNode final : public sim::INode {
   sim::Simulator& sim_;
   core::NodeId id_;
   Config config_;
-  core::Hooks* hooks_;
   std::vector<core::NodeId> neighbors_;
   std::unordered_map<core::TxId, core::Transaction, core::TxIdHash> store_;
   std::unordered_set<core::TxId, core::TxIdHash> requested_;

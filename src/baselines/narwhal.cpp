@@ -15,8 +15,8 @@ BatchDigest NwBatchMsg::digest() const {
 }
 
 NarwhalNode::NarwhalNode(sim::Simulator& sim, core::NodeId id,
-                         const Config& config, core::Hooks* hooks)
-    : sim_(sim), id_(id), config_(config), hooks_(hooks) {}
+                         const Config& config)
+    : sim_(sim), id_(id), config_(config) {}
 
 void NarwhalNode::on_start() {
   // Stagger batch ticks across nodes.
@@ -29,11 +29,9 @@ void NarwhalNode::submit_transaction(const core::Transaction& tx) {
   if (!seen_.insert(tx.id).second) return;
   if (!prevalidate(tx, config_.prevalidation)) return;
   ++known_txs_;
-  if (hooks_ != nullptr && hooks_->on_mempool_admit) {
-    hooks_->on_mempool_admit(id_, tx, sim_.now());
-  }
   sim_.obs().tracer.emit(obs::EventKind::kTxAdmit, id_, id_,
-                         core::txid_short(tx.id), known_txs_);
+                         core::txid_short(tx.id),
+                         static_cast<std::uint64_t>(tx.created_at));
   pending_.push_back(tx);
 }
 
@@ -82,9 +80,9 @@ void NarwhalNode::on_message(core::NodeId from, const sim::PayloadPtr& msg) {
       for (const auto& tx : batch->txs) {
         if (!seen_.insert(tx.id).second) continue;
         ++known_txs_;
-        if (hooks_ != nullptr && hooks_->on_mempool_admit) {
-          hooks_->on_mempool_admit(id_, tx, sim_.now());
-        }
+        sim_.obs().tracer.emit(obs::EventKind::kTxAdmit, id_, from,
+                               core::txid_short(tx.id),
+                               static_cast<std::uint64_t>(tx.created_at));
       }
     }
     auto ack = std::make_shared<NwAckMsg>();

@@ -17,7 +17,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "core/node.hpp"
 #include "core/transaction.hpp"
 #include "core/types.hpp"
 #include "sim/simulator.hpp"
@@ -75,8 +74,7 @@ class NarwhalNode final : public sim::INode {
     std::size_t num_nodes = 0;  // quorum = floor(2n/3) + 1
   };
 
-  NarwhalNode(sim::Simulator& sim, core::NodeId id, const Config& config,
-              core::Hooks* hooks);
+  NarwhalNode(sim::Simulator& sim, core::NodeId id, const Config& config);
 
   void set_neighbors(std::vector<core::NodeId> neighbors) {
     neighbors_ = std::move(neighbors);
@@ -98,7 +96,6 @@ class NarwhalNode final : public sim::INode {
   sim::Simulator& sim_;
   core::NodeId id_;
   Config config_;
-  core::Hooks* hooks_;
   std::vector<core::NodeId> neighbors_;
 
   std::vector<core::Transaction> pending_;

@@ -29,8 +29,8 @@ crypto::Digest256 chain_step(const crypto::Digest256& prev,
 }  // namespace
 
 PeerReviewNode::PeerReviewNode(sim::Simulator& sim, core::NodeId id,
-                               const Config& config, core::Hooks* hooks)
-    : sim_(sim), id_(id), config_(config), hooks_(hooks) {}
+                               const Config& config)
+    : sim_(sim), id_(id), config_(config) {}
 
 void PeerReviewNode::on_start() { schedule_audits(); }
 
@@ -77,10 +77,8 @@ void PeerReviewNode::admit(const core::Transaction& tx) {
   if (!prevalidate(tx, config_.prevalidation)) return;
   store_.emplace(tx.id, tx);
   sim_.obs().tracer.emit(obs::EventKind::kTxAdmit, id_, id_,
-                         core::txid_short(tx.id), store_.size());
-  if (hooks_ != nullptr && hooks_->on_mempool_admit) {
-    hooks_->on_mempool_admit(id_, tx, sim_.now());
-  }
+                         core::txid_short(tx.id),
+                         static_cast<std::uint64_t>(tx.created_at));
   announce_queue_.push_back(tx.id);
   if (!announce_armed_) {
     announce_armed_ = true;

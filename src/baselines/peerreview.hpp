@@ -19,7 +19,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "core/node.hpp"
 #include "core/transaction.hpp"
 #include "core/types.hpp"
 #include "crypto/keys.hpp"
@@ -102,8 +101,7 @@ class PeerReviewNode final : public sim::INode {
     sim::Duration audit_interval = 10 * sim::kSecond;
   };
 
-  PeerReviewNode(sim::Simulator& sim, core::NodeId id, const Config& config,
-                 core::Hooks* hooks);
+  PeerReviewNode(sim::Simulator& sim, core::NodeId id, const Config& config);
 
   void set_neighbors(std::vector<core::NodeId> neighbors) {
     neighbors_ = std::move(neighbors);
@@ -133,7 +131,6 @@ class PeerReviewNode final : public sim::INode {
   sim::Simulator& sim_;
   core::NodeId id_;
   Config config_;
-  core::Hooks* hooks_;
   std::vector<core::NodeId> neighbors_;
   std::size_t universe_ = 0;
   std::unordered_map<core::TxId, core::Transaction, core::TxIdHash> store_;

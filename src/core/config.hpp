@@ -114,10 +114,12 @@ struct MaliciousBehavior {
   // meaningful when mempool_shards > 1; detection must converge per shard.
   std::int32_t censor_shard = -1;
 
-  bool censors(std::uint64_t short_id, std::size_t shards) const noexcept {
+  // True when this behavior censors the foreign txs of `shard` (of `shards`):
+  // full mempool censorship, or the cross-shard attack on exactly that shard.
+  bool censors(std::uint32_t shard, std::uint32_t shards) const noexcept {
     if (censor_txs) return true;
     return censor_shard >= 0 && shards > 1 &&
-           short_id % shards == static_cast<std::uint64_t>(censor_shard);
+           shard == static_cast<std::uint32_t>(censor_shard);
   }
 
   bool any() const noexcept {

@@ -20,15 +20,31 @@ std::uint64_t ps_key(NodeId peer, std::uint32_t shard) {
   return AccountabilityRegistry::key(peer, shard);
 }
 
+// One kReconcileRound per sync-exchange decode, unguarded: the anomaly
+// monitor's reconcile feed reads it.
+void emit_decode(obs::Tracer& tracer, NodeId node, NodeId peer,
+                 std::uint32_t shard,
+                 const std::optional<std::vector<std::uint64_t>>& diff,
+                 std::size_t capacity) {
+  const std::uint64_t outcome = !diff ? obs::kReconcileOverflow
+                                : diff->empty() ? obs::kReconcileEmpty
+                                                : obs::kReconcileDecoded;
+  tracer.emit(obs::EventKind::kReconcileRound, node, peer, outcome,
+              diff ? diff->size() : capacity, 0, shard);
+}
+
 }  // namespace
 
 LoNode::LoNode(sim::Simulator& sim, NodeId id, const LoConfig& config,
-               crypto::KeyPair keys, Hooks* hooks)
+               crypto::KeyPair keys)
     : sim_(sim),
       id_(id),
       config_(config),
       signer_(keys, config.sig_mode),
-      hooks_(hooks),
+      verify_cache_(crypto::VerifyCache::kDefaultKeyCapacity,
+                    crypto::VerifyCache::kDefaultMemoCapacity,
+                    obs::Scope(&sim.obs().registry,
+                               {{"node", std::to_string(id)}})),
       registry_(config.sig_mode, config.two_stage_checks) {
   // Fold the shard count into the commitment params so every wire codec
   // (headers, bundles, blocks) sees it; at k=1 nothing changes on the wire.
@@ -74,7 +90,6 @@ LoNode::LoNode(sim::Simulator& sim, NodeId id, const LoConfig& config,
     c_sync_rounds_.push_back(&reg.counter("lo.sync_rounds", labels));
     c_suspicions_.push_back(&reg.counter("lo.suspicions", labels));
   }
-  verify_cache_.bind(obs::Scope(&reg, node_label));
   verify_cache_.set_tracer(tracer_, id_);
 }
 
@@ -145,17 +160,14 @@ void LoNode::admit_transaction(const Transaction& tx, NodeId source) {
   // Mempool censorship: a censoring miner silently refuses foreign txs
   // (Sec. 2.2 "Mempool Censorship" — it neither commits nor relays them).
   // The cross-shard variant censors only one shard's foreign txs.
-  if (censors_shard(shard) && source != id_) return;
+  if (behavior_.censors(shard, k_) && source != id_) return;
 
   store_.emplace(tx.id, tx);
   valid_.insert(tx.id);
   content_clocks_[shard].add(txid_short(tx.id));
   commit_batch({tx.id}, source, shard);
   tracer_->emit(obs::EventKind::kTxAdmit, id_, source, txid_short(tx.id),
-                logs_[shard].seqno(), 0, shard);
-  if (hooks_ && hooks_->on_mempool_admit) {
-    hooks_->on_mempool_admit(id_, tx, sim_.now());
-  }
+                static_cast<std::uint64_t>(tx.created_at), 0, shard);
 }
 
 void LoNode::commit_batch(const std::vector<TxId>& ids, NodeId source,
@@ -207,7 +219,6 @@ void LoNode::crash(bool wipe_mempool) {
   suspected_by_.clear();
   suspicion_snapshot_.clear();
   seen_suspicions_.clear();
-  seen_exposures_.clear();
   mirrors_.clear();
   seen_blocks_.clear();
   blocks_awaiting_bundles_.clear();
@@ -280,13 +291,11 @@ void LoNode::init_membership() {
   cb.rand_below = [this](std::uint64_t bound) {
     return sim_.node_rng(id_).next_below(bound);
   };
-  cb.on_state = [this](NodeId node, membership::MemberState state,
+  // SWIM emits each transition as kMemberState; the node only counts them.
+  cb.on_state = [this](NodeId /*member*/, membership::MemberState state,
                        std::uint64_t /*incarnation*/) {
     if (state == membership::MemberState::kSuspect) ++*c_member_suspects_;
     if (state == membership::MemberState::kConfirmed) ++*c_member_confirms_;
-    if (hooks_ && hooks_->on_member_state) {
-      hooks_->on_member_state(id_, node, state, sim_.now());
-    }
   };
   cb.on_incarnation = [this](std::uint64_t incarnation) {
     member_incarnation_ = incarnation;
@@ -476,7 +485,7 @@ void LoNode::handle_sync_request(NodeId from, const SyncRequest& req) {
 
   CommitmentLog& use_log = log_for_peer(from, shard);
   // Full mempool censorship, or the cross-shard attack on this shard.
-  const bool censoring = censors_shard(shard);
+  const bool censoring = behavior_.censors(shard, k_);
 
   // Set reconciliation: our sketch (truncated to the request's capacity)
   // XOR theirs encodes the exact symmetric difference.
@@ -485,16 +494,7 @@ void LoNode::handle_sync_request(NodeId from, const SyncRequest& req) {
   merged.merge(req.commitment.sketch);
   ++sketch_decodes_;
   const auto diff = merged.decode();
-  if (hooks_ && hooks_->on_reconcile) {
-    hooks_->on_reconcile(id_, diff.has_value());
-  }
-  if (tracer_->enabled()) {
-    const std::uint64_t outcome = !diff ? obs::kReconcileOverflow
-                                  : diff->empty() ? obs::kReconcileEmpty
-                                                  : obs::kReconcileDecoded;
-    tracer_->emit(obs::EventKind::kReconcileRound, id_, from, outcome,
-                  diff ? diff->size() : merged.capacity(), 0, shard);
-  }
+  emit_decode(*tracer_, id_, from, shard, diff, merged.capacity());
 
   auto resp = std::make_shared<SyncResponse>();
   resp->request_id = req.request_id;
@@ -575,7 +575,7 @@ void LoNode::handle_sync_response(NodeId from, const SyncResponse& resp) {
   if (registry_.is_exposed(from)) return;
 
   CommitmentLog& use_log = log_for_peer(from, shard);
-  const bool censoring = censors_shard(shard);
+  const bool censoring = behavior_.censors(shard, k_);
 
   // 1. Ship the transactions the responder asked for. Once it has them, it
   //    owes us a commitment covering our snapshot (coverage watch).
@@ -628,18 +628,7 @@ void LoNode::handle_sync_response(NodeId from, const SyncResponse& resp) {
     merged.merge(resp.commitment.sketch);
     ++sketch_decodes_;
     const auto recovery_diff = merged.decode();
-    if (hooks_ && hooks_->on_reconcile) {
-      hooks_->on_reconcile(id_, recovery_diff.has_value());
-    }
-    if (tracer_->enabled()) {
-      const std::uint64_t outcome =
-          !recovery_diff ? obs::kReconcileOverflow
-          : recovery_diff->empty() ? obs::kReconcileEmpty
-                                   : obs::kReconcileDecoded;
-      tracer_->emit(obs::EventKind::kReconcileRound, id_, from, outcome,
-                    recovery_diff ? recovery_diff->size() : merged.capacity(),
-                    0, shard);
-    }
+    emit_decode(*tracer_, id_, from, shard, recovery_diff, merged.capacity());
     if (const auto& diff = recovery_diff) {
       std::vector<std::uint64_t> ours;
       std::vector<std::uint64_t> theirs;
@@ -692,7 +681,7 @@ void LoNode::handle_tx_request(NodeId from, const TxRequest& req) {
   auto bundle = std::make_shared<TxBundleMsg>();
   bundle->request_id = req.request_id;
   for (const auto& id : req.want) {
-    if (behavior_.censors(txid_short(id), k_)) continue;
+    if (behavior_.censors(shard_of(id), k_)) continue;
     auto s = store_.find(id);
     if (s != store_.end()) bundle->txs.push_back(s->second);
   }
@@ -701,7 +690,7 @@ void LoNode::handle_tx_request(NodeId from, const TxRequest& req) {
   // deterministic — shard first, then commitment position).
   std::vector<TxId> resolved;
   for (std::uint32_t s = 0; s < k_; ++s) {
-    if (censors_shard(s)) continue;
+    if (behavior_.censors(s, k_)) continue;
     std::vector<TxId> in_shard;
     for (const auto elem : req.want_short) {
       if (auto id = logs_[s].resolve_element(elem)) {
@@ -737,7 +726,7 @@ void LoNode::handle_tx_bundle(NodeId from, const TxBundleMsg& msg) {
       continue;
     }
     const std::uint32_t shard = shard_of(tx.id);
-    if (censors_shard(shard) && from != id_) continue;
+    if (behavior_.censors(shard, k_) && from != id_) continue;
     store_.emplace(tx.id, tx);
     valid_.insert(tx.id);
     content_clocks_[shard].add(txid_short(tx.id));
@@ -745,10 +734,7 @@ void LoNode::handle_tx_bundle(NodeId from, const TxBundleMsg& msg) {
     // Gossip-hop admissions were invisible to the trace (only the direct
     // submit path emitted kTxAdmit), leaving lineage gaps at every relay.
     tracer_->emit(obs::EventKind::kTxAdmit, id_, from, txid_short(tx.id),
-                  logs_[shard].seqno(), 0, shard);
-    if (hooks_ && hooks_->on_mempool_admit) {
-      hooks_->on_mempool_admit(id_, tx, sim_.now());
-    }
+                  static_cast<std::uint64_t>(tx.created_at), 0, shard);
   }
   for (std::uint32_t s = 0; s < k_; ++s) {
     if (batches[s].empty()) continue;
@@ -807,22 +793,17 @@ void LoNode::handle_tx_bundle(NodeId from, const TxBundleMsg& msg) {
 void LoNode::observe_header(NodeId from, const CommitmentHeader& header) {
   if (header.shard >= k_) return;  // not a shard pipeline we run
   tracer_->emit(obs::EventKind::kCommitObserve, id_, header.node, header.count);
+  const bool was_exposed = registry_.is_exposed(header.node);
   bool used_decode = false;
   auto evidence = registry_.observe_commitment(header, &used_decode);
-  if (used_decode) {
-    ++sketch_decodes_;
-    if (hooks_ && hooks_->on_reconcile) hooks_->on_reconcile(id_, true);
-  }
+  if (used_decode) ++sketch_decodes_;
   if (evidence) {
     auto msg = std::make_shared<ExposureMsg>();
     msg->accused = evidence->accused;
     msg->verdict = 0xff;
     msg->equivocation = std::move(*evidence);
-    if (seen_exposures_.insert(msg->accused).second) {
+    if (!was_exposed) {
       tracer_->emit(obs::EventKind::kExpose, id_, msg->accused, msg->verdict);
-      if (hooks_ && hooks_->on_exposure) {
-        hooks_->on_exposure(id_, msg->accused, sim_.now());
-      }
     }
     broadcast_exposure(*msg);
     return;
@@ -906,9 +887,7 @@ void LoNode::suspect_peer(NodeId peer, std::uint32_t shard) {
   tracer_->emit(obs::EventKind::kSuspect, id_, peer, shard, 0, 0, shard);
   const bool was_suspected = registry_.is_suspected(peer);
   registry_.suspect(peer);
-  if (!was_suspected && hooks_ && hooks_->on_suspect) {
-    hooks_->on_suspect(id_, peer, sim_.now());
-  }
+  if (!was_suspected) tracer_->emit(obs::EventKind::kSuspected, id_, peer);
   auto msg = std::make_shared<SuspicionMsg>();
   msg->suspect = peer;
   msg->reporter = id_;
@@ -1035,9 +1014,7 @@ void LoNode::handle_suspicion(NodeId from, const SuspicionMsg& msg) {
       suspected_by_[msg.suspect].insert(msg.reporter);
       if (!registry_.is_suspected(msg.suspect)) {
         registry_.suspect(msg.suspect);
-        if (hooks_ && hooks_->on_suspect) {
-          hooks_->on_suspect(id_, msg.suspect, sim_.now());
-        }
+        tracer_->emit(obs::EventKind::kSuspected, id_, msg.suspect);
       }
     }
   }
@@ -1047,16 +1024,10 @@ void LoNode::handle_suspicion(NodeId from, const SuspicionMsg& msg) {
 }
 
 void LoNode::handle_exposure(NodeId from, const ExposureMsg& msg) {
-  if (seen_exposures_.count(msg.accused) != 0) {
-    return;
-  }
+  if (registry_.is_exposed(msg.accused)) return;
   if (!msg.verify(config_.sig_mode, &verify_cache_)) return;
-  seen_exposures_.insert(msg.accused);
   registry_.expose(msg.accused);
   tracer_->emit(obs::EventKind::kExpose, id_, msg.accused, msg.verdict);
-  if (hooks_ && hooks_->on_exposure) {
-    hooks_->on_exposure(id_, msg.accused, sim_.now());
-  }
   if (!behavior_.drop_gossip) {
     flood(std::make_shared<ExposureMsg>(msg), from);
   }
@@ -1215,11 +1186,10 @@ void LoNode::inspect_known_block(const BlockMsg& bm) {
         }
       }
       msg->block_evidence = std::move(ev);
-      if (seen_exposures_.insert(block.creator).second) {
+      if (!registry_.is_exposed(block.creator)) {
         registry_.expose(block.creator);
-        if (hooks_ && hooks_->on_exposure) {
-          hooks_->on_exposure(id_, block.creator, sim_.now());
-        }
+        tracer_->emit(obs::EventKind::kExpose, id_, block.creator,
+                      msg->verdict);
       }
       broadcast_exposure(*msg);
       break;

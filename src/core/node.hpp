@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -46,55 +45,10 @@
 
 namespace lo::core {
 
-// Experiment observation points. All optional; invoked synchronously.
-struct Hooks {
-  // A node admitted tx content to its mempool (Fig. 7 latency source).
-  std::function<void(NodeId node, const Transaction& tx, sim::TimePoint when)>
-      on_mempool_admit;
-  // A node locally marked `suspect` as suspected (Fig. 6 "Suspicion").
-  std::function<void(NodeId node, NodeId suspect, sim::TimePoint when)>
-      on_suspect;
-  // A node learned a verified exposure of `accused` (Fig. 6 "Exposure").
-  std::function<void(NodeId node, NodeId accused, sim::TimePoint when)>
-      on_exposure;
-  // A node attempted one sketch decode. `decode_ok` is false when the
-  // symmetric difference overflowed the sketch capacity and the round fell
-  // back to the recovery path.
-  std::function<void(NodeId node, bool decode_ok)> on_reconcile;
-  // The membership failure detector of `node` moved `member` to `state`
-  // (only fired when config.membership.enabled).
-  std::function<void(NodeId node, NodeId member, membership::MemberState state,
-                     sim::TimePoint when)>
-      on_member_state;
-};
-
-// Retry/timeout/blame mechanism counters — fault tests assert on mechanism
-// (how many retries and timeouts fired), not just outcomes.
-struct NodeStats {
-  std::uint64_t requests_sent = 0;        // pendings registered
-  std::uint64_t retries_sent = 0;         // timeout resends
-  std::uint64_t timeouts_fired = 0;       // timer fired with request unanswered
-  std::uint64_t suspicions_raised = 0;    // own complaints reported
-  std::uint64_t suspicions_retracted = 0; // own complaints withdrawn
-  std::uint64_t crashes = 0;
-  std::uint64_t restarts = 0;
-
-  NodeStats& operator+=(const NodeStats& o) noexcept {
-    requests_sent += o.requests_sent;
-    retries_sent += o.retries_sent;
-    timeouts_fired += o.timeouts_fired;
-    suspicions_raised += o.suspicions_raised;
-    suspicions_retracted += o.suspicions_retracted;
-    crashes += o.crashes;
-    restarts += o.restarts;
-    return *this;
-  }
-};
-
 class LoNode final : public sim::INode {
  public:
   LoNode(sim::Simulator& sim, NodeId id, const LoConfig& config,
-         crypto::KeyPair keys, Hooks* hooks = nullptr);
+         crypto::KeyPair keys);
 
   void set_neighbors(std::vector<NodeId> neighbors);
   const std::vector<NodeId>& neighbors() const noexcept { return neighbors_; }
@@ -177,15 +131,6 @@ class LoNode final : public sim::INode {
   const std::unordered_map<TxId, Transaction, TxIdHash>& mempool() const noexcept {
     return store_;
   }
-  // The mechanism counters live in the simulator's metrics registry as
-  // per-node labeled cells ("lo.requests_sent{node=i}", ...); this struct is
-  // a thin read shim assembled from the registry cells so pre-registry
-  // callers keep compiling unchanged.
-  NodeStats stats() const noexcept {
-    return NodeStats{*c_requests_sent_,     *c_retries_sent_,
-                     *c_timeouts_fired_,    *c_suspicions_raised_,
-                     *c_suspicions_retracted_, *c_crashes_, *c_restarts_};
-  }
   bool has_tx(const TxId& id) const { return store_.count(id) != 0; }
   const Transaction* get_tx(const TxId& id) const;
   // The inspector's view of a creator's committed bundles in one shard (from
@@ -201,8 +146,8 @@ class LoNode final : public sim::INode {
   const crypto::PublicKey& public_key() const noexcept {
     return signer_.public_key();
   }
-  // Hit/miss counters of the per-node verification cache (perf diagnostics).
-  // By-value shim over the registry-bound cells (see crypto::VerifyCache).
+  // Hit/miss counters of the per-node verification cache (perf diagnostics),
+  // read from its "verify_cache.*{node=i}" registry cells.
   crypto::VerifyCacheStats verify_cache_stats() const noexcept {
     return verify_cache_.stats();
   }
@@ -212,12 +157,6 @@ class LoNode final : public sim::INode {
   // Durable membership incarnation (survives crashes, grows on restart).
   std::uint64_t member_incarnation() const noexcept {
     return member_incarnation_;
-  }
-  // Request timeouts that membership absolved: the final retry expired but
-  // the detector no longer presumed the peer alive, so no accountability
-  // suspicion was raised (liveness failure, not protocol misbehavior).
-  std::uint64_t suspicions_absolved() const noexcept {
-    return *c_suspicions_absolved_;
   }
 
  private:
@@ -318,19 +257,11 @@ class LoNode final : public sim::INode {
   void commit_batch(const std::vector<TxId>& ids, NodeId source,
                     std::uint32_t shard);
   std::vector<CommitmentHeader> pick_gossip_headers();
-  // True when this node's behavior censors foreign transactions of `shard`
-  // (full mempool censorship, or the cross-shard attack of DESIGN.md §7).
-  bool censors_shard(std::uint32_t shard) const noexcept {
-    if (behavior_.censor_txs) return true;
-    return behavior_.censor_shard >= 0 && k_ > 1 &&
-           shard == static_cast<std::uint32_t>(behavior_.censor_shard);
-  }
 
   sim::Simulator& sim_;
   NodeId id_;
   LoConfig config_;
   crypto::Signer signer_;
-  Hooks* hooks_;
   MaliciousBehavior behavior_;
 
   std::vector<NodeId> neighbors_;
@@ -403,7 +334,6 @@ class LoNode final : public sim::INode {
                      TxIdHash>
       seen_blocks_;
   std::unordered_set<std::uint64_t> seen_suspicions_;  // key(reporter, epoch)
-  std::unordered_set<NodeId> seen_exposures_;
   std::unordered_map<std::uint64_t, std::vector<crypto::Digest256>>
       blocks_awaiting_bundles_;  // keyed ps_key(creator, shard)
 
@@ -412,8 +342,8 @@ class LoNode final : public sim::INode {
   std::uint64_t own_nonce_ = 0;
   std::vector<TxId> stealth_txs_;  // off-channel content (Sec. 5.3)
   // Observability: the simulator's tracer (kTxAdmit, kCommitCreate,
-  // kReconcileRound, blame and block events) plus registry cell handles for
-  // the mechanism counters (stable addresses; see obs::Registry::counter).
+  // kReconcileRound, blame and block events) plus handles of the registry
+  // cells "lo.requests_sent{node=i}", ... (stable; see Registry::counter).
   obs::Tracer* tracer_;
   // Hot accountability counters with per-shard attribution: one cell per
   // shard, labeled {node} at k=1 (ids unchanged from the unsharded layout)

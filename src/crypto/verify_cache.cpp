@@ -26,25 +26,11 @@ bool VerifyTier::verify(const Digest256& memo_key, const PublicKey& pub,
   return ok;
 }
 
-void VerifyCache::bind(obs::Scope scope) {
-  scope_ = std::move(scope);
-  const VerifyCacheStats carry = stats();
-  c_key_hits_ = &scope_.counter("verify_cache.key_hits");
-  c_key_misses_ = &scope_.counter("verify_cache.key_misses");
-  c_memo_hits_ = &scope_.counter("verify_cache.memo_hits");
-  c_memo_misses_ = &scope_.counter("verify_cache.memo_misses");
-  *c_key_hits_ += carry.key_hits;
-  *c_key_misses_ += carry.key_misses;
-  *c_memo_hits_ += carry.memo_hits;
-  *c_memo_misses_ += carry.memo_misses;
-  local_stats_ = VerifyCacheStats{};
-}
-
 void VerifyCache::probe(bool hit, std::uint64_t tier) noexcept {
   if (tier == kMemoTier) {
-    ++(hit ? memo_hits() : memo_misses());
+    ++*(hit ? c_memo_hits_ : c_memo_misses_);
   } else {
-    ++(hit ? key_hits() : key_misses());
+    ++*(hit ? c_key_hits_ : c_key_misses_);
   }
   if (tracer_ != nullptr) {
     tracer_->emit(obs::EventKind::kCacheProbe, trace_node_, 0, hit ? 1 : 0,

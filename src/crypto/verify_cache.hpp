@@ -168,12 +168,21 @@ struct VerifyCacheStats {
 
 class VerifyCache {
  public:
-  // A standalone cache with a tier of its own; set_tier() shares one.
+  // A standalone cache with a tier of its own; set_tier() shares one. The
+  // hit/miss counters are the "verify_cache.*" cells created through
+  // `scope` (e.g. a node's {node=i} view of the simulation's registry); the
+  // default detached scope keeps them in storage of the cache's own.
   explicit VerifyCache(std::size_t key_capacity = kDefaultKeyCapacity,
-                       std::size_t memo_capacity = kDefaultMemoCapacity)
+                       std::size_t memo_capacity = kDefaultMemoCapacity,
+                       obs::Scope scope = {})
       : keys_(key_capacity),
         memo_(memo_capacity),
-        tier_(std::make_shared<VerifyTier>()) {}
+        tier_(std::make_shared<VerifyTier>()),
+        scope_(std::move(scope)),
+        c_key_hits_(&scope_.counter("verify_cache.key_hits")),
+        c_key_misses_(&scope_.counter("verify_cache.key_misses")),
+        c_memo_hits_(&scope_.counter("verify_cache.memo_hits")),
+        c_memo_misses_(&scope_.counter("verify_cache.memo_misses")) {}
 
   // Drop-in replacement for Signer::verify: returns the same boolean on
   // every input, amortizing decompression and duplicate verifications.
@@ -186,22 +195,13 @@ class VerifyCache {
     tier_ = std::move(tier);
   }
 
-  // The hit/miss counters live either in local storage (default) or, after
-  // bind(), in a metrics registry (per-node labeled cells); this is a thin
-  // read shim over the active cells so pre-registry callers keep compiling
-  // unchanged.
+  // The four counter cells, by value.
   VerifyCacheStats stats() const noexcept {
-    return VerifyCacheStats{key_hits(), key_misses(), memo_hits(),
-                            memo_misses()};
+    return VerifyCacheStats{*c_key_hits_, *c_key_misses_, *c_memo_hits_,
+                            *c_memo_misses_};
   }
   std::size_t key_cache_size() const noexcept { return keys_.size(); }
   std::size_t memo_size() const noexcept { return memo_.size(); }
-
-  // Repoints the stat counters at registry cells created through `scope`
-  // (e.g. labeled {node=i}); current values carry over, so binding mid-run
-  // loses nothing. The scope is stored so detached-scope storage stays
-  // alive as long as the cache.
-  void bind(obs::Scope scope);
 
   // Optional tracer: on each verify the cache emits a kCacheProbe event
   // (a = hit, b = tier: 0 key, 1 memo) attributed to `node`.
@@ -224,31 +224,16 @@ class VerifyCache {
   // Counts and traces one probe (tier: 0 key, 1 memo).
   void probe(bool hit, std::uint64_t tier) noexcept;
 
-  // Active counter cells: registry-bound when the pointer is set, local
-  // otherwise.
-  std::uint64_t& key_hits() const noexcept {
-    return c_key_hits_ != nullptr ? *c_key_hits_ : local_stats_.key_hits;
-  }
-  std::uint64_t& key_misses() const noexcept {
-    return c_key_misses_ != nullptr ? *c_key_misses_ : local_stats_.key_misses;
-  }
-  std::uint64_t& memo_hits() const noexcept {
-    return c_memo_hits_ != nullptr ? *c_memo_hits_ : local_stats_.memo_hits;
-  }
-  std::uint64_t& memo_misses() const noexcept {
-    return c_memo_misses_ != nullptr ? *c_memo_misses_
-                                     : local_stats_.memo_misses;
-  }
-
   detail::LruMap<Seen> keys_;
   detail::LruMap<bool> memo_;
   std::shared_ptr<VerifyTier> tier_;
-  mutable VerifyCacheStats local_stats_;
+  // Holds the cells' storage alive when detached. The handles point into a
+  // std::map, so they stay valid for the registry's lifetime.
   obs::Scope scope_;
-  std::uint64_t* c_key_hits_ = nullptr;
-  std::uint64_t* c_key_misses_ = nullptr;
-  std::uint64_t* c_memo_hits_ = nullptr;
-  std::uint64_t* c_memo_misses_ = nullptr;
+  std::uint64_t* c_key_hits_;
+  std::uint64_t* c_key_misses_;
+  std::uint64_t* c_memo_hits_;
+  std::uint64_t* c_memo_misses_;
   obs::Tracer* tracer_ = nullptr;
   std::uint32_t trace_node_ = 0;
 };

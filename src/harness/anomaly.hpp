@@ -12,7 +12,7 @@
 //   commit-slo       the p95 submit->settle latency of the tick window
 //                    breached the commit-latency SLO.
 //
-// Determinism: feeds are called from harness metric hooks and
+// Determinism: feeds are called from the network's tracer sink and
 // coordinator-scheduled closures, state uses ordered containers, and the tick
 // itself is an ordinary coordinator timer — so the alert stream, the
 // lo.anomaly.* counters and the kAnomaly trace events are byte-identical on
@@ -58,6 +58,7 @@ struct Alert {
   double value = 0.0;      // observed statistic
   double threshold = 0.0;  // configured bound it crossed
   std::string detail;      // human-readable one-liner
+  bool operator==(const Alert&) const = default;
 };
 
 class AnomalyMonitor {

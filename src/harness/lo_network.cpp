@@ -10,43 +10,10 @@ namespace lo::harness {
 
 LoNetwork::LoNetwork(const NetworkConfig& config) : Network(config) {
   const std::size_t n = config.num_nodes;
-
-  hooks_.on_suspect = [this](core::NodeId node, core::NodeId suspect,
-                             sim::TimePoint when) {
-    suspicion_events_.push_back(
-        BlameEvent{node, suspect, sim::to_seconds(when)});
-    if (anomaly_) anomaly_->on_suspicion();
-  };
-  hooks_.on_reconcile = [this](core::NodeId, bool decode_ok) {
-    if (anomaly_) anomaly_->on_reconcile(decode_ok);
-  };
-  hooks_.on_exposure = [this](core::NodeId node, core::NodeId accused,
-                              sim::TimePoint when) {
-    exposure_events_.push_back(
-        BlameEvent{node, accused, sim::to_seconds(when)});
-  };
-  hooks_.on_member_state = [this](core::NodeId node, core::NodeId member,
-                                  membership::MemberState state,
-                                  sim::TimePoint when) {
-    member_events_.push_back(
-        MemberEvent{node, member, state, sim::to_seconds(when)});
-    // Crash -> confirmation latency: only counted while the member is in
-    // fact down (a confirm of a node that already restarted is stale news,
-    // not a detection).
-    if (state == membership::MemberState::kConfirmed &&
-        member < crash_time_s_.size() && crash_time_s_[member] >= 0.0) {
-      const double latency_s = sim::to_seconds(when) - crash_time_s_[member];
-      membership_detection_latency_.add(latency_s);
-      sim_.obs().registry.histogram("membership.detection_latency_s")
-          .observe(latency_s);
-    }
-  };
-
   add_nodes([&](core::NodeId id) {
     auto keys = crypto::derive_keypair(config.seed * 0x10001ULL + id,
                                        config.node.sig_mode);
-    auto node = std::make_unique<core::LoNode>(sim_, id, config.node, keys,
-                                               &hooks_);
+    auto node = std::make_unique<core::LoNode>(sim_, id, config.node, keys);
     if (malicious_[id]) node->behavior() = config.malicious;
     node->set_verify_tier(verify_tier_);
     return node;
@@ -68,6 +35,39 @@ LoNetwork::LoNetwork(const NetworkConfig& config) : Network(config) {
 
 void LoNetwork::on_inject(const core::Transaction& tx) {
   tx_created_.emplace(tx.id, tx.created_at);
+}
+
+void LoNetwork::on_event(const obs::TraceEvent& ev) {
+  switch (static_cast<obs::EventKind>(ev.kind)) {
+    case obs::EventKind::kSuspected:
+      suspicion_events_.push_back({ev.node, ev.peer, sim::to_seconds(ev.at)});
+      if (anomaly_) anomaly_->on_suspicion();
+      break;
+    case obs::EventKind::kExpose:
+      exposure_events_.push_back({ev.node, ev.peer, sim::to_seconds(ev.at)});
+      break;
+    case obs::EventKind::kReconcileRound:
+      if (anomaly_) anomaly_->on_reconcile(ev.a != obs::kReconcileOverflow);
+      break;
+    case obs::EventKind::kMemberState: {
+      const auto state = static_cast<membership::MemberState>(ev.a);
+      const double when_s = sim::to_seconds(ev.at);
+      member_events_.push_back({ev.node, ev.peer, state, when_s});
+      // Crash -> confirmation latency: only counted while the member is in
+      // fact down (a confirm of a node that already restarted is stale
+      // news, not a detection).
+      if (state == membership::MemberState::kConfirmed &&
+          ev.peer < crash_time_s_.size() && crash_time_s_[ev.peer] >= 0.0) {
+        const double latency_s = when_s - crash_time_s_[ev.peer];
+        membership_detection_latency_.add(latency_s);
+        sim_.obs().registry.histogram("membership.detection_latency_s")
+            .observe(latency_s);
+      }
+      break;
+    }
+    default:
+      Network::on_event(ev);
+  }
 }
 
 void LoNetwork::start_block_production(const consensus::LeaderConfig& cfg,
@@ -223,12 +223,6 @@ void LoNetwork::schedule_invariant_check() {
     }
     schedule_invariant_check();
   });
-}
-
-core::NodeStats LoNetwork::total_stats() const {
-  core::NodeStats sum;
-  for (const auto& n : nodes_) sum += n->stats();
-  return sum;
 }
 
 crypto::VerifyCacheStats LoNetwork::total_verify_cache_stats() const {

@@ -1,7 +1,8 @@
 // LoNetwork — a full LØ deployment on the shared network scaffold
 // (harness/network.hpp): LoNodes with keys, the shared verify tier and the
 // faulty population's behavior, plus what only LØ has: rotation and SWIM
-// wiring, the consensus stub, the invariant checker and the blame feeds.
+// wiring, the consensus stub, the invariant checker and the blame and member
+// feeds, which it reads from the tracer's sink like the scaffold's own.
 // Every evaluation figure and all integration tests drive the protocol
 // through this class.
 #pragma once
@@ -39,6 +40,7 @@ struct DetectionTimes {
   // from the FIRST node detecting a given attacker until ALL correct nodes
   // know that attacker, maximized over attackers; <0 when incomplete.
   double exposure_spread_s = -1.0;
+  bool operator==(const DetectionTimes&) const = default;
 };
 
 class LoNetwork : public Network<core::LoNode> {
@@ -67,9 +69,6 @@ class LoNetwork : public Network<core::LoNode> {
     return invariant_violations_;
   }
 
-  // Aggregate retry/timeout/blame mechanism counters over all nodes.
-  core::NodeStats total_stats() const;
-
   // Aggregate verification-cache hit/miss counters over all nodes (perf
   // diagnostics for the verify fast path; see DESIGN.md).
   crypto::VerifyCacheStats total_verify_cache_stats() const;
@@ -93,11 +92,13 @@ class LoNetwork : public Network<core::LoNode> {
   // Sketch decodes over all nodes.
   std::uint64_t total_sketch_decodes() const;
 
-  // Raw event feeds for custom analyses.
+  // Raw event feeds for custom analyses: one entry per kSuspected and per
+  // kExpose event (see obs::EventKind).
   struct BlameEvent {
     core::NodeId observer;
     core::NodeId accused;
     double when_s;
+    bool operator==(const BlameEvent&) const = default;
   };
   const std::vector<BlameEvent>& suspicion_events() const noexcept {
     return suspicion_events_;
@@ -107,12 +108,13 @@ class LoNetwork : public Network<core::LoNode> {
   }
 
   // Membership (SWIM) observations; empty unless config.node.membership is
-  // enabled. One event per failure-detector state transition at any node.
+  // enabled. One entry per kMemberState event (a SWIM state transition).
   struct MemberEvent {
     core::NodeId observer;
     core::NodeId member;
     membership::MemberState state;
     double when_s;
+    bool operator==(const MemberEvent&) const = default;
   };
   const std::vector<MemberEvent>& member_events() const noexcept {
     return member_events_;
@@ -126,6 +128,7 @@ class LoNetwork : public Network<core::LoNode> {
 
  private:
   void on_inject(const core::Transaction& tx) override;
+  void on_event(const obs::TraceEvent& ev) override;
   void schedule_next_block();
   void schedule_invariant_check();
 

@@ -3,7 +3,8 @@
 // faults + anomaly monitor + mempool-latency samples. LØ (LoNetwork, which
 // adds what only LØ has) and the Sec. 6.4 baselines (Network<FloodNode>,
 // Network<PeerReviewNode>, Network<NarwhalNode>) all run on it, so the
-// Fig. 9 comparison holds every condition but the protocol fixed.
+// Fig. 9 comparison holds every condition but the protocol fixed. It
+// observes its nodes only through the tracer's sink (on_event).
 #pragma once
 
 #include <algorithm>
@@ -11,8 +12,9 @@
 #include <memory>
 #include <vector>
 
-#include "core/node.hpp"  // for core::Hooks
+#include "core/transaction.hpp"
 #include "harness/anomaly.hpp"
+#include "obs/trace.hpp"
 #include "overlay/topology.hpp"
 #include "sim/faults.hpp"
 #include "sim/metrics.hpp"
@@ -50,20 +52,21 @@ struct ScaffoldConfig {
 };
 
 // NodeT requirements:
+//   NodeT(sim::Simulator&, core::NodeId, const NodeConfig&)
 //   void set_neighbors(std::vector<core::NodeId>)
 //   void submit_transaction(const core::Transaction&)
-// plus the sim::INode interface. crash_node()/restart_node() (and so
-// faults() and churn) also need void crash(bool wipe_mempool) and
+// plus the sim::INode interface, and one unguarded kTxAdmit event per
+// mempool admit (b = the tx's created_at). crash_node()/restart_node() (and
+// so faults() and churn) also need void crash(bool wipe_mempool) and
 // void restart().
 template <typename NodeT>
 class Network {
  public:
-  // Builds every node as NodeT(sim, id, node_cfg, hooks).
   template <typename NodeConfig>
   Network(const ScaffoldConfig& config, const NodeConfig& node_cfg)
       : Network(config) {
     add_nodes([&](core::NodeId id) {
-      return std::make_unique<NodeT>(sim_, id, node_cfg, &hooks_);
+      return std::make_unique<NodeT>(sim_, id, node_cfg);
     });
   }
   virtual ~Network() = default;
@@ -168,11 +171,14 @@ class Network {
     const std::size_t n = config.num_nodes;
 
     // Tracing goes live before nodes exist so construction-time events
-    // (cache binds, first timers) land in the stream too.
+    // (first timers) land in the stream too. The feeds read the sink, which
+    // is installed whether or not the ring records.
     if (config.trace_capacity > 0) {
       sim_.obs().tracer.set_capacity(config.trace_capacity);
     }
     if (config.trace) sim_.obs().tracer.enable(true);
+    sim_.obs().tracer.set_sink(
+        [this](const obs::TraceEvent& ev) { on_event(ev); });
 
     if (config.city_latency) {
       sim_.set_latency_model(std::make_shared<sim::CityLatencyModel>());
@@ -208,16 +214,6 @@ class Network {
       }
     }
 
-    hooks_.on_mempool_admit = [this](core::NodeId, const core::Transaction& tx,
-                                     sim::TimePoint when) {
-      mempool_latency_.add(sim::to_seconds(when - tx.created_at));
-      // The settle rule: a tx settles at its first mempool admit anywhere
-      // until block production starts, and at its first block inclusion
-      // after (LoNetwork). on_settle is first-wins either way.
-      if (anomaly_ && settle_at_admit_) {
-        anomaly_->on_settle(core::txid_short(tx.id), when);
-      }
-    };
     crash_time_s_.assign(n, -1.0);
     ever_crashed_.assign(n, false);
   }
@@ -242,13 +238,24 @@ class Network {
   // Called once per injected tx, before it is placed.
   virtual void on_inject(const core::Transaction&) {}
 
+  // The tracer's sink: every event emitted, recorded or not. An admit
+  // (kTxAdmit, b = created_at) is one mempool-latency sample, and the settle
+  // rule: a tx settles at its first mempool admit anywhere until block
+  // production starts, at its first block inclusion after (LoNetwork);
+  // on_settle is first-wins either way.
+  virtual void on_event(const obs::TraceEvent& ev) {
+    if (ev.kind != static_cast<std::uint16_t>(obs::EventKind::kTxAdmit)) return;
+    mempool_latency_.add(
+        sim::to_seconds(ev.at - static_cast<sim::TimePoint>(ev.b)));
+    if (anomaly_ && settle_at_admit_) anomaly_->on_settle(ev.a, ev.at);
+  }
+
   ScaffoldConfig config_;
   sim::Simulator sim_;
   overlay::Topology topology_;
   std::vector<std::unique_ptr<NodeT>> nodes_;
   std::vector<bool> malicious_;
   std::size_t malicious_count_ = 0;
-  core::Hooks hooks_;
   std::unique_ptr<AnomalyMonitor> anomaly_;
   bool settle_at_admit_ = true;
   sim::Samples mempool_latency_;

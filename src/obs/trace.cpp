@@ -61,6 +61,7 @@ const char* event_kind_name(EventKind k) noexcept {
     case EventKind::kSuspect: return "blame.suspect";
     case EventKind::kRetract: return "blame.retract";
     case EventKind::kExpose: return "blame.expose";
+    case EventKind::kSuspected: return "blame.suspected";
     case EventKind::kFaultCrash: return "fault.crash";
     case EventKind::kFaultRestart: return "fault.restart";
     case EventKind::kCacheProbe: return "cache.probe";
@@ -148,14 +149,17 @@ void Tracer::record(EventKind kind, std::uint32_t node, std::uint32_t peer,
   ev.b = b;
   ev.span = cause_.span;
   ev.parent = cause_.parent;
-  if (ring_.size() < capacity_) {
-    if (ring_.empty()) ring_.reserve(capacity_);
-    ring_.push_back(ev);
-  } else {
-    ring_[head_] = ev;  // overwrite the oldest
-    head_ = (head_ + 1) % capacity_;
-    ++dropped_;
+  if (enabled_) {
+    if (ring_.size() < capacity_) {
+      if (ring_.empty()) ring_.reserve(capacity_);
+      ring_.push_back(ev);
+    } else {
+      ring_[head_] = ev;  // overwrite the oldest
+      head_ = (head_ + 1) % capacity_;
+      ++dropped_;
+    }
   }
+  if (sink_) sink_(ev);
 }
 
 std::vector<TraceEvent> Tracer::events() const {

@@ -4,8 +4,8 @@
 // time — never wall clock (lolint's banned-source rule covers this
 // directory), so same-seed runs produce byte-identical traces and the
 // existing SHA-256 trace-digest determinism tests extend to the event
-// stream. The recorder is disabled by default; when disabled, emit() is a
-// single predictable branch.
+// stream. The recorder is disabled by default; with it off and no sink (the
+// one observation channel, see set_sink), emit() is two predictable branches.
 //
 // Events cover the whole mempool stack: message send/recv/drop, the
 // commitment lifecycle (created -> observed -> reconciled -> finalized),
@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <span>
 #include <string>
@@ -41,7 +42,9 @@ enum class EventKind : std::uint16_t {
   kMsgDrop = 3,
   // Transaction lifecycle span (async span id = short tx id in a).
   kTxSubmit = 10,   // workload handed the tx to `node`
-  kTxAdmit = 11,    // tx admitted to `node`'s mempool; b = bundle seqno
+  kTxAdmit = 11,    // tx admitted to `node`'s mempool (every node kind);
+                    // peer = the node it came from, b = the tx's created_at
+                    // (simulator us), so at - b is its admission latency
   kTxFinalize = 12, // first block inclusion observed; b = block height
   kTxCommit = 13,   // tx committed into `node`'s log; b = bundle seqno.
                     // Emitted inside the dispatch that admitted or synced
@@ -51,16 +54,21 @@ enum class EventKind : std::uint16_t {
   // append; observe: peer = creator, a = creator's commitment count.
   kCommitCreate = 20,
   kCommitObserve = 21,  // header observed from `peer`
-  // Set reconciliation. a = decode outcome (ReconcileOutcome);
-  // b = recovered difference size (or sketch capacity on failure).
+  // Set reconciliation: one per sketch decode of a sync exchange. a = decode
+  // outcome (ReconcileOutcome); b = recovered difference size (or sketch
+  // capacity on failure).
   kReconcileRound = 30,
   // Blocks. a = short block id; b = tx count (build) / seqno span (inspect).
   kBlockBuild = 40,
   kBlockInspect = 41,
   // Accountability. peer = accused/exposed node; a = detail.
-  kSuspect = 50,
-  kRetract = 51,
-  kExpose = 52,
+  kSuspect = 50,    // `node` reported `peer` (its own complaint); a = shard
+  kRetract = 51,    // `node` withdrew its own complaint about `peer`
+  kExpose = 52,     // `node` first holds verified evidence against `peer`:
+                    // an equivocation it found, a block it inspected, or a
+                    // relayed exposure; a = verdict (0xff = equivocation)
+  kSuspected = 53,  // `node`'s view gained suspect `peer`, through its own
+                    // report or a relayed one (Fig. 6 "Suspicion")
   // Fault injector. a = detail (e.g. scheduled restart delay us).
   kFaultCrash = 60,
   kFaultRestart = 61,
@@ -68,7 +76,8 @@ enum class EventKind : std::uint16_t {
   kCacheProbe = 70,
   // Membership (SWIM failure detector). probe: peer = probed member (or the
   // proxy for an indirect request), a = probe seq, b = 0 direct / 1 indirect;
-  // state: peer = member, a = MemberState, b = incarnation.
+  // state: one per failure-detector transition at `node`, peer = member,
+  // a = MemberState, b = incarnation.
   kMemberProbe = 80,
   kMemberState = 81,
   // Online anomaly detector (harness). peer = detector kind (AnomalyKind),
@@ -163,14 +172,21 @@ class Tracer {
   std::string name(std::uint16_t id) const;
   std::vector<std::string> names() const;
 
-  // Records an event (no-op when disabled, at the cost of one branch).
-  // Overflow policy: drop-oldest — the ring keeps the most recent `capacity`
-  // events and counts what it evicted, so the tail of a long run is always
-  // inspectable.
+  // The sink receives every emit(), stamped as the ring stamps it, whether
+  // or not the ring records. harness::Network installs it and computes every
+  // harness feed from it. Contract: a fact any feed reads is emitted without
+  // an enabled() guard, so the feeds do not depend on recording.
+  using Sink = std::function<void(const TraceEvent&)>;
+  void set_sink(Sink sink) { sink_ = std::move(sink); }
+
+  // Emits an event to the ring (when enabled) and to the sink (when set);
+  // with neither it costs two branches. Overflow policy: drop-oldest — the
+  // ring keeps the most recent `capacity` events and counts what it evicted,
+  // so the tail of a long run is always inspectable.
   void emit(EventKind kind, std::uint32_t node, std::uint32_t peer = 0,
             std::uint64_t a = 0, std::uint64_t b = 0, std::uint16_t name = 0,
             std::uint32_t aux = 0) {
-    if (!enabled_) return;
+    if (!enabled_ && !sink_) return;
     record(kind, node, peer, a, b, name, aux);
   }
 
@@ -208,6 +224,7 @@ class Tracer {
               std::uint32_t aux);
 
   bool enabled_ = false;
+  Sink sink_;
   const std::int64_t* clock_ = nullptr;
   Cause cause_;
   std::size_t capacity_;

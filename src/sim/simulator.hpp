@@ -162,21 +162,6 @@ class Simulator {
   }
   std::size_t down_count() const noexcept;
 
-  // Fault observability (tests assert on mechanism, not just outcomes). The
-  // counters live in the metrics registry ("sim.dropped_sender_down", ...);
-  // this struct is a thin read shim assembled from the registry cells so
-  // pre-registry callers keep compiling unchanged.
-  struct FaultCounters {
-    std::uint64_t dropped_sender_down = 0;
-    std::uint64_t dropped_receiver_down = 0;
-    std::uint64_t suppressed_callbacks = 0;
-    std::uint64_t dropped_by_fault_filter = 0;
-  };
-  FaultCounters fault_counters() const noexcept {
-    return FaultCounters{*c_dropped_sender_down_, *c_dropped_receiver_down_,
-                         *c_suppressed_callbacks_, *c_dropped_by_fault_filter_};
-  }
-
   // Sends a message; it arrives at `to` after the model latency. Both
   // endpoints must be registered (std::out_of_range otherwise — an unknown
   // sender used to slip past the liveness check and index the bandwidth
@@ -261,7 +246,10 @@ class Simulator {
   DeliveryFilter fault_filter_;
   LatencyShaper latency_shaper_;
 
-  // Registry cell handles (stable addresses; see Registry::counter).
+  // Fault observability (tests assert on mechanism, not just outcomes):
+  // handles of the "sim.dropped_sender_down", "sim.dropped_receiver_down",
+  // "sim.suppressed_callbacks" and "sim.dropped_by_fault_filter" registry
+  // cells (stable addresses; see Registry::counter).
   std::uint64_t* c_dropped_sender_down_;
   std::uint64_t* c_dropped_receiver_down_;
   std::uint64_t* c_suppressed_callbacks_;

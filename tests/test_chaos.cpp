@@ -15,8 +15,10 @@
 namespace lo {
 namespace {
 
+using test::counter_total;
 using test::load_cfg;
 using test::net_cfg;
+using test::node_counter;
 
 double first_suspicion_of(const harness::LoNetwork& net, core::NodeId accused) {
   double first = -1.0;
@@ -42,11 +44,11 @@ TEST(Chaos, CrashedNodeIsSilentUntilRestart) {
   EXPECT_EQ(net.node(2).mempool_size(), pool_at_crash);
   // Crashing twice is a no-op, not a second incarnation.
   net.crash_node(2);
-  EXPECT_EQ(net.total_stats().crashes, 1u);
+  EXPECT_EQ(counter_total(net, "lo.crashes"), 1u);
   net.restart_node(2);
   EXPECT_FALSE(net.node_down(2));
   EXPECT_FALSE(net.node(2).crashed());
-  EXPECT_EQ(net.total_stats().restarts, 1u);
+  EXPECT_EQ(counter_total(net, "lo.restarts"), 1u);
 }
 
 TEST(Chaos, CrashMidSyncRecoversFullBacklog) {
@@ -105,11 +107,11 @@ TEST(Chaos, SuspicionsOfCrashedNodeAreRetractedAfterRecovery) {
     EXPECT_FALSE(net.node(i).registry().is_exposed(0))
         << "a correct node must never be exposed";
   }
-  const auto stats = net.total_stats();
-  EXPECT_GT(stats.timeouts_fired, 0u);
-  EXPECT_GT(stats.retries_sent, 0u);
-  EXPECT_GT(stats.suspicions_raised, 0u);
-  EXPECT_EQ(stats.suspicions_raised, stats.suspicions_retracted)
+  EXPECT_GT(counter_total(net, "lo.timeouts_fired"), 0u);
+  EXPECT_GT(counter_total(net, "lo.retries_sent"), 0u);
+  EXPECT_GT(counter_total(net, "lo.suspicions_raised"), 0u);
+  EXPECT_EQ(counter_total(net, "lo.suspicions_raised"),
+            counter_total(net, "lo.suspicions_retracted"))
       << "every suspicion of the recovered node must be retracted";
   EXPECT_TRUE(net.invariant_violations().empty());
 }
@@ -226,15 +228,14 @@ TEST(Chaos, DeterministicReplay) {
     for (std::size_t i = 0; i < net.size(); ++i) {
       pools.push_back(net.node(i).mempool_size());
     }
-    const auto stats = net.total_stats();
     return std::tuple{net.txs_injected(),
                       net.sim().bandwidth().total_bytes(),
                       pools,
                       net.faults().crashes_injected(),
                       net.faults().link_drops(),
-                      stats.retries_sent,
-                      stats.timeouts_fired,
-                      stats.suspicions_raised,
+                      counter_total(net, "lo.retries_sent"),
+                      counter_total(net, "lo.timeouts_fired"),
+                      counter_total(net, "lo.suspicions_raised"),
                       net.suspicion_events().size()};
   };
   EXPECT_EQ(run(), run());
@@ -259,24 +260,26 @@ TEST(Chaos, PreCrashTimersNeverFireIntoNewIncarnation) {
   net.sim().set_delivery_filter(
       [](core::NodeId, core::NodeId) { return false; });
   net.run_for(3.0);
-  ASSERT_GT(net.node(0).stats().requests_sent, 0u);
-  ASSERT_GT(net.node(0).stats().timeouts_fired, 0u);
+  ASSERT_GT(node_counter(net, "lo.requests_sent", 0), 0u);
+  ASSERT_GT(node_counter(net, "lo.timeouts_fired", 0), 0u);
 
   // Heal the network, then bounce node 0. All its pre-crash timers are still
   // scheduled inside the simulator — they must all hit the epoch wall.
   net.sim().set_delivery_filter(nullptr);
-  const auto suppressed_before = net.sim().fault_counters().suppressed_callbacks;
+  const std::uint64_t& suppressed =
+      net.sim().obs().registry.counter("sim.suppressed_callbacks");
+  const auto suppressed_before = suppressed;
   net.crash_node(0);
   net.restart_node(0);
-  const auto timeouts_at_restart = net.node(0).stats().timeouts_fired;
+  const auto timeouts_at_restart = node_counter(net, "lo.timeouts_fired", 0);
   net.run_for(20.0);  // past every pre-crash retry deadline
-  EXPECT_GT(net.sim().fault_counters().suppressed_callbacks, suppressed_before)
+  EXPECT_GT(suppressed, suppressed_before)
       << "stale pre-crash timers must be suppressed, not silently dropped";
   // Post-restart the network is healthy: every request node 0 arms is
   // answered well inside its timeout, so any timeout increment would have to
   // come from a pre-crash timer leaking into the new incarnation.
-  EXPECT_EQ(net.node(0).stats().timeouts_fired, timeouts_at_restart);
-  EXPECT_EQ(net.node(0).stats().suspicions_raised, 0u);
+  EXPECT_EQ(node_counter(net, "lo.timeouts_fired", 0), timeouts_at_restart);
+  EXPECT_EQ(node_counter(net, "lo.suspicions_raised", 0), 0u);
 }
 
 // ------------------------------------------------- membership-enabled runs ----
@@ -333,11 +336,7 @@ TEST(Chaos, MembershipConfirmsCrashAndAbsolvesTimeouts) {
   }
   // Liveness/misbehavior separation: request timeouts that expired after the
   // detector confirmed the crash were absolved instead of raising blame.
-  std::uint64_t absolved = 0;
-  for (std::size_t i = 0; i < net.size(); ++i) {
-    absolved += net.node(i).suspicions_absolved();
-  }
-  EXPECT_GT(absolved, 0u);
+  EXPECT_GT(counter_total(net, "lo.suspicions_absolved"), 0u);
   EXPECT_TRUE(net.invariant_violations().empty());
 
   // Rejoin: the restarted node announces a strictly higher incarnation,

@@ -102,8 +102,8 @@ std::string lo_trace_digest(harness::LoNetwork& net) {
     d.u64(ev.accused);
     d.f64(ev.when_s);
   }
-  // Emission-ordered metric stream: admission hooks fire in event order, so
-  // any nondeterminism in message scheduling shows up here.
+  // Emission-ordered metric stream: admit events reach the sink in event
+  // order, so any nondeterminism in message scheduling shows up here.
   for (double v : net.mempool_latency().values()) d.f64(v);
   // The whole observability surface rides along: the binary event trace
   // (every message/commitment/reconciliation event in emission order, string
@@ -289,7 +289,7 @@ std::string run_lo_membership(std::uint64_t seed) {
   }
   for (std::size_t i = 0; i < net.size(); ++i) {
     d.u64(net.node(i).member_incarnation());
-    d.u64(net.node(i).suspicions_absolved());
+    d.u64(test::node_counter(net, "lo.suspicions_absolved", i));
     if (const auto* det = net.node(i).swim()) {
       for (const auto& [member, ms] : det->members()) {
         d.u64(member);

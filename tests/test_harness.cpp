@@ -1,7 +1,12 @@
 // Harness-level tests: LoNetwork assembly invariants, metric plumbing,
-// detection-time computation, coverage helper, workload control.
+// detection-time computation, coverage helper, workload control, sink feeds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
+#include "baselines/flood.hpp"
+#include "baselines/narwhal.hpp"
 #include "harness/lo_network.hpp"
 #include "test_net_util.hpp"
 
@@ -157,6 +162,130 @@ TEST(Harness, SeedsChangeOutcomes) {
     return net.sim().bandwidth().total_bytes();
   };
   EXPECT_NE(run(1), run(2));
+}
+
+// ------------------------------------------------ one observation channel ----
+
+// Silent censors, a faulty node that builds a reordered block, block
+// production, and membership with a crashed correct node: a run that reaches
+// every feed. `record` only switches the ring on.
+std::unique_ptr<LoNetwork> adversarial_run(bool record) {
+  auto cfg = net_cfg(16, 5, /*malicious_fraction=*/0.25);
+  cfg.trace = record;
+  cfg.trace_capacity = 1 << 20;  // the whole run
+  cfg.city_latency = false;
+  cfg.malicious.censor_txs = true;
+  cfg.malicious.ignore_requests = true;
+  cfg.node.membership.enabled = true;
+  auto net = std::make_unique<LoNetwork>(cfg);
+  const auto& bad = net->malicious_mask();
+  const auto reorderer = static_cast<std::size_t>(
+      std::find(bad.begin(), bad.end(), true) - bad.begin());
+  const auto victim = static_cast<core::NodeId>(
+      std::find(bad.begin(), bad.end(), false) - bad.begin());
+  net->node(reorderer).behavior() = core::MaliciousBehavior{};
+  net->node(reorderer).behavior().reorder_block = true;
+  AnomalyConfig acfg;
+  acfg.suspicion_spike_threshold = 0;  // any suspicion in a window alerts
+  net->start_anomaly_monitor(acfg);
+  net->start_workload(load_of(20.0, 6));
+  consensus::LeaderConfig lc;
+  lc.mean_block_interval = 3 * sim::kSecond;
+  net->start_block_production(lc, /*correct_leaders_only=*/true);
+  net->faults().crash_at(6 * sim::kSecond, victim, 8 * sim::kSecond);
+  net->run_for(12.0);
+  net->node(reorderer).create_block(100, crypto::Digest256{});
+  net->run_for(13.0);
+  return net;
+}
+
+// The recorded events of `kind` as blame feed entries.
+std::vector<LoNetwork::BlameEvent> traced_blame(LoNetwork& net,
+                                                obs::EventKind kind) {
+  std::vector<LoNetwork::BlameEvent> out;
+  for (const auto& ev : net.sim().obs().tracer.events()) {
+    if (ev.kind != static_cast<std::uint16_t>(kind)) continue;
+    out.push_back({ev.node, ev.peer, sim::to_seconds(ev.at)});
+  }
+  return out;
+}
+
+// The sink contract (obs::Tracer::set_sink): a fact any feed reads is
+// emitted without an enabled() guard, so recording changes no feed, no alert
+// and no registry cell.
+TEST(ObsChannel, FeedsAreTheSameWithRecordingOnOrOff) {
+  auto on = adversarial_run(true);
+  auto off = adversarial_run(false);
+  for (const std::size_t n : {on->block_latency().count(),
+                              on->membership_detection_latency().count(),
+                              on->anomaly()->alerts().size()}) {
+    EXPECT_GT(n, 0u) << "the run misses a feed";
+  }
+  EXPECT_EQ(on->mempool_latency().values(), off->mempool_latency().values());
+  EXPECT_EQ(on->block_latency().values(), off->block_latency().values());
+  EXPECT_EQ(on->membership_detection_latency().values(),
+            off->membership_detection_latency().values());
+  EXPECT_EQ(on->suspicion_events(), off->suspicion_events());
+  EXPECT_EQ(on->exposure_events(), off->exposure_events());
+  EXPECT_EQ(on->member_events(), off->member_events());
+  EXPECT_EQ(on->detection_times(), off->detection_times());
+  EXPECT_EQ(on->anomaly()->alerts(), off->anomaly()->alerts());
+  on->publish_metrics();
+  off->publish_metrics();
+  EXPECT_EQ(on->sim().obs().registry.to_json("feeds"),
+            off->sim().obs().registry.to_json("feeds"));
+}
+
+// An exposure found by inspecting a block is a kExpose, and a suspicion a
+// node adopts from another's report a blame.suspected, so the trace holds
+// both blame feeds.
+TEST(ObsChannel, TraceHoldsTheBlameFeeds) {
+  auto net = adversarial_run(true);
+  ASSERT_FALSE(net->exposure_events().empty());
+  EXPECT_EQ(traced_blame(*net, obs::EventKind::kExpose),
+            net->exposure_events());
+  const auto suspected = traced_blame(*net, obs::EventKind::kSuspected);
+  // Each own report (kSuspect) gains at most one suspect: the rest relayed.
+  const auto own = traced_blame(*net, obs::EventKind::kSuspect);
+  EXPECT_GT(suspected.size(), own.size()) << "no relayed suspicion adopted";
+  EXPECT_EQ(suspected, net->suspicion_events());
+}
+
+// Every node kind admits with one kTxAdmit whose b is the tx's created_at,
+// so the latency sample is at - b, also for a tx submitted by hand; a
+// Narwhal batch admits at every node it reaches.
+template <typename NetT>
+void expect_admits_carry_created_at(NetT& net) {
+  net.run_for(2.0);
+  crypto::Signer client(crypto::derive_keypair(42, kMode), kMode);
+  net.node(1).submit_transaction(
+      core::make_transaction(client, 1, 100, sim::kSecond));
+  net.run_for(3.0);
+  std::size_t admits = 0;
+  for (const auto& ev : net.sim().obs().tracer.events()) {
+    if (ev.kind == static_cast<std::uint16_t>(obs::EventKind::kTxAdmit)) {
+      ++admits;
+      EXPECT_EQ(ev.b, std::uint64_t{sim::kSecond});
+    }
+  }
+  ASSERT_EQ(admits, net.size()) << "the tx did not reach every node";
+  EXPECT_EQ(net.mempool_latency().values().front(), 1.0);
+}
+
+TEST(ObsChannel, AdmitCarriesCreatedAt) {
+  auto cfg = net_cfg(8, 13);
+  cfg.trace = true;
+  LoNetwork lo_net(cfg);
+  expect_admits_carry_created_at(lo_net);
+  baselines::FloodNode::Config flood;
+  flood.prevalidation.sig_mode = kMode;
+  Network<baselines::FloodNode> flood_net(cfg, flood);
+  expect_admits_carry_created_at(flood_net);
+  baselines::NarwhalNode::Config narwhal;
+  narwhal.prevalidation.sig_mode = kMode;
+  narwhal.num_nodes = 8;
+  Network<baselines::NarwhalNode> narwhal_net(cfg, narwhal);
+  expect_admits_carry_created_at(narwhal_net);
 }
 
 }  // namespace

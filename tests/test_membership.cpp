@@ -623,7 +623,7 @@ TEST(ConfigValidate, NodeConstructionFailsFast) {
   auto cfg = base_cfg();
   cfg.backoff_factor = 0.0;
   auto keys = crypto::derive_keypair(1, cfg.sig_mode);
-  EXPECT_THROW(LoNode(sim, 0, cfg, keys, nullptr), std::invalid_argument);
+  EXPECT_THROW(LoNode(sim, 0, cfg, keys), std::invalid_argument);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 // the crypto cost disappears — and the paper's 32-city latency model.
 #pragma once
 
+#include <string>
+
 #include "harness/lo_network.hpp"
 #include "workload/txgen.hpp"
 
@@ -29,6 +31,18 @@ inline workload::WorkloadConfig load_cfg(double tps, std::uint64_t seed) {
   w.seed = seed;
   w.sig_mode = kFastSig;
   return w;
+}
+
+// A per-node registry counter: node i's cell ("lo.retries_sent{node=i}"),
+// or its sum over the network. Both throw on a name no node counts.
+inline std::uint64_t node_counter(harness::LoNetwork& net,
+                                  const std::string& name, std::size_t i) {
+  const auto id = obs::metric_id(name, {{"node", std::to_string(i)}});
+  return net.sim().obs().registry.snapshot().at(id).counter;
+}
+inline std::uint64_t counter_total(harness::LoNetwork& net,
+                                   const std::string& name) {
+  return obs::rollup(net.sim().obs().registry.snapshot()).at(name).counter;
 }
 
 }  // namespace lo::test

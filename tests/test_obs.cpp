@@ -1,8 +1,8 @@
 // Observability layer tests: metrics registry semantics (ids, labels,
 // scopes, snapshot/rollup), log-bucketed histograms (including the
 // sim::Samples bridge), tracer ring/overflow/intern/binary round-trip, the
-// Chrome-JSON golden file, profiling hooks, the verify-cache registry bind,
-// and same-seed trace determinism for LØ and one baseline.
+// Chrome-JSON golden file, profiling hooks, the verify-cache registry
+// cells, and same-seed trace determinism for LØ and one baseline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -500,31 +500,7 @@ TEST(Profile, InstrumentedSketchPathsCount) {
   obs::profile::reset();
 }
 
-// ------------------------------------------------------- verify-cache bind ----
-
-TEST(VerifyCacheBind, CountersCarryOverIntoRegistry) {
-  const auto kp = crypto::derive_keypair(3, crypto::SignatureMode::kEd25519);
-  crypto::Signer s(kp, crypto::SignatureMode::kEd25519);
-  const std::vector<std::uint8_t> msg = {1, 2, 3};
-  const auto sig = s.sign(msg);
-
-  crypto::VerifyCache cache;
-  // Unbound: two verifies of the same triple -> one memo miss, one memo hit.
-  EXPECT_TRUE(cache.verify(crypto::SignatureMode::kEd25519, kp.pub, msg, sig));
-  EXPECT_TRUE(cache.verify(crypto::SignatureMode::kEd25519, kp.pub, msg, sig));
-  const auto before = cache.stats();
-  EXPECT_EQ(before.memo_misses, 1u);
-  EXPECT_EQ(before.memo_hits, 1u);
-
-  obs::Registry reg;
-  cache.bind(obs::Scope(&reg, {{"node", "7"}}));
-  // Pre-bind values carried into the registry cells...
-  EXPECT_EQ(reg.counter("verify_cache.memo_hits", {{"node", "7"}}), 1u);
-  // ...and post-bind activity lands there too, visible through both APIs.
-  EXPECT_TRUE(cache.verify(crypto::SignatureMode::kEd25519, kp.pub, msg, sig));
-  EXPECT_EQ(cache.stats().memo_hits, 2u);
-  EXPECT_EQ(reg.counter("verify_cache.memo_hits", {{"node", "7"}}), 2u);
-}
+// ------------------------------------------------------ verify-cache cells ----
 
 TEST(VerifyCacheBind, TracerSeesProbes) {
   const auto kp = crypto::derive_keypair(4, crypto::SignatureMode::kEd25519);
@@ -534,7 +510,10 @@ TEST(VerifyCacheBind, TracerSeesProbes) {
 
   obs::Tracer t;
   t.enable(true);
-  crypto::VerifyCache cache;
+  obs::Registry reg;
+  crypto::VerifyCache cache(crypto::VerifyCache::kDefaultKeyCapacity,
+                            crypto::VerifyCache::kDefaultMemoCapacity,
+                            obs::Scope(&reg, {{"node", "5"}}));
   cache.set_tracer(&t, /*node=*/5);
   EXPECT_TRUE(cache.verify(crypto::SignatureMode::kEd25519, kp.pub, msg, sig));
   const auto evs = t.events();
@@ -543,6 +522,9 @@ TEST(VerifyCacheBind, TracerSeesProbes) {
     EXPECT_EQ(ev.kind, static_cast<std::uint16_t>(obs::EventKind::kCacheProbe));
     EXPECT_EQ(ev.node, 5u);
   }
+  // The probes count into the cells of the scope the cache was built with.
+  EXPECT_EQ(reg.counter("verify_cache.memo_misses", {{"node", "5"}}), 1u);
+  EXPECT_EQ(cache.stats().memo_misses, 1u);
 }
 
 // ---------------------------------------------------- end-to-end determinism ----

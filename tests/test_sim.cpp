@@ -232,7 +232,7 @@ TEST(Simulator, DownSenderDropsWithoutBandwidthCharge) {
   EXPECT_TRUE(b.senders.empty());
   EXPECT_EQ(sim.bandwidth().total_messages(), 0u)
       << "a dead host emits no bytes";
-  EXPECT_EQ(sim.fault_counters().dropped_sender_down, 1u);
+  EXPECT_EQ(sim.obs().registry.counter("sim.dropped_sender_down"), 1u);
 }
 
 TEST(Simulator, InFlightMessageToCrashedReceiverIsLost) {
@@ -249,7 +249,7 @@ TEST(Simulator, InFlightMessageToCrashedReceiverIsLost) {
   sim.set_node_up(idb, false);  // dies with the packet halfway
   sim.run_until(2000);
   EXPECT_TRUE(b.tags.empty());
-  EXPECT_EQ(sim.fault_counters().dropped_receiver_down, 1u);
+  EXPECT_EQ(sim.obs().registry.counter("sim.dropped_receiver_down"), 1u);
   // Bandwidth was charged: the bytes did leave the sender.
   EXPECT_EQ(sim.bandwidth().total_messages(), 1u);
 
@@ -280,7 +280,7 @@ TEST(Simulator, ScheduleForSuppressedAcrossEpochs) {
   sim.schedule_for(ida, 100, [&fired] { ++fired; });   // armed in epoch 1
   sim.run_until(600);
   EXPECT_EQ(fired, 2) << "only the new incarnation's timers fire";
-  EXPECT_EQ(sim.fault_counters().suppressed_callbacks, 1u);
+  EXPECT_EQ(sim.obs().registry.counter("sim.suppressed_callbacks"), 1u);
 }
 
 TEST(Simulator, FaultFilterComposesWithDeliveryFilter) {
@@ -302,7 +302,7 @@ TEST(Simulator, FaultFilterComposesWithDeliveryFilter) {
   EXPECT_TRUE(b.senders.empty());
   EXPECT_TRUE(c.senders.empty());
   EXPECT_EQ(a.senders.size(), 1u);
-  EXPECT_EQ(sim.fault_counters().dropped_by_fault_filter, 1u);
+  EXPECT_EQ(sim.obs().registry.counter("sim.dropped_by_fault_filter"), 1u);
 }
 
 TEST(Simulator, LatencyShaperStretchesDelivery) {

@@ -131,7 +131,6 @@ std::optional<Lineage> lineage(const TraceModel& m, std::uint64_t txid) {
     step.node = ev.node;
     step.peer = ev.peer;
     step.shard = ev.aux;
-    step.b = ev.b;
     l.steps.push_back(step);
     switch (step.kind) {
       case EventKind::kTxSubmit:

@@ -60,7 +60,6 @@ struct LineageStep {
   std::uint32_t node = 0;
   std::uint32_t peer = 0;
   std::uint32_t shard = 0;
-  std::uint64_t b = 0;
 };
 
 // One dispatch on the causal critical path (newest -> oldest walk order).
