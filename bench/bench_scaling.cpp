@@ -48,15 +48,15 @@ MembershipRow run_membership_leg(std::size_t n, double seconds,
   net.run_for(seconds);
 
   MembershipRow row;
-  row.detect_mean_s = net.membership_detection_latency().mean();
-  row.detect_max_s = net.membership_detection_latency().max();
+  row.detect_mean_s = net.analyzer().membership_detection_latency.mean();
+  row.detect_max_s = net.analyzer().membership_detection_latency.max();
   std::uint64_t swim_bytes = 0;
   for (const auto& [name, st] : net.sim().bandwidth().by_class()) {
     if (name.rfind("swim.", 0) == 0) swim_bytes += st.bytes;
   }
   row.swim_bytes_per_node_s =
       static_cast<double>(swim_bytes) / seconds / static_cast<double>(n);
-  for (const auto& ev : net.member_events()) {
+  for (const auto& ev : net.analyzer().member_events) {
     if (ev.state == lo::membership::MemberState::kConfirmed) ++row.confirms;
   }
   return row;

@@ -53,13 +53,13 @@ Outcome run(const core::MaliciousBehavior& attack, bool attacker_builds_block,
     if (reg.is_exposed(static_cast<core::NodeId>(attacker))) ++out.exposed;
     if (reg.is_suspected(static_cast<core::NodeId>(attacker))) ++out.suspected;
   }
-  for (const auto& ev : net.suspicion_events()) {
+  for (const auto& ev : net.analyzer().suspicion_events) {
     if (ev.accused == attacker &&
         (out.first_blame_s < 0 || ev.when_s < out.first_blame_s)) {
       out.first_blame_s = ev.when_s;
     }
   }
-  for (const auto& ev : net.exposure_events()) {
+  for (const auto& ev : net.analyzer().exposure_events) {
     if (ev.accused == attacker &&
         (out.first_blame_s < 0 || ev.when_s < out.first_blame_s)) {
       out.first_blame_s = ev.when_s;

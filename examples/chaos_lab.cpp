@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
   const auto& alerts = net.anomaly()->alerts();
   std::printf("anomaly alerts            %zu  (inflight at end: %llu)\n",
               alerts.size(),
-              static_cast<unsigned long long>(net.anomaly()->inflight()));
+              static_cast<unsigned long long>(net.analyzer().inflight()));
   for (const auto& a : alerts) {
     std::printf("  [%7.2fs] %-18s %.3f > %.3f  %s\n", a.when_s,
                 harness::anomaly_kind_name(a.kind), a.value, a.threshold,

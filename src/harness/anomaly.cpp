@@ -30,9 +30,13 @@ AnomalyMonitor::AnomalyMonitor(sim::Simulator& sim, const AnomalyConfig& cfg)
       &reg.counter("lo.anomaly.alerts", {{"kind", "commit_latency_slo"}});
 }
 
-void AnomalyMonitor::start() {
-  if (started_) return;
-  started_ = true;
+void AnomalyMonitor::start(const Analyzer& analyzer) {
+  if (analyzer_ != nullptr) return;
+  analyzer_ = &analyzer;
+  seen_suspicions_ = analyzer.suspicion_events.size();
+  seen_reconcile_ok_ = analyzer.reconciles_ok;
+  seen_reconcile_fail_ = analyzer.reconciles_failed;
+  seen_settles_ = analyzer.settle_latency.count();
   period_ = std::max<sim::Duration>(
       1, sim::from_seconds(std::max(cfg_.tick_interval_s, 1e-6)));
   schedule_tick();
@@ -44,29 +48,6 @@ void AnomalyMonitor::schedule_tick() {
     tick();
     schedule_tick();
   });
-}
-
-void AnomalyMonitor::on_submit(std::uint64_t txid_short,
-                               sim::TimePoint created_at) {
-  inflight_.emplace(txid_short, created_at);
-}
-
-void AnomalyMonitor::on_settle(std::uint64_t txid_short, sim::TimePoint when) {
-  auto it = inflight_.find(txid_short);
-  if (it == inflight_.end()) return;  // duplicate settle or unknown tx
-  window_settle_latency_s_.push_back(sim::to_seconds(when - it->second));
-  inflight_.erase(it);
-  dwell_alerted_.erase(txid_short);
-}
-
-void AnomalyMonitor::on_suspicion() { ++window_suspicions_; }
-
-void AnomalyMonitor::on_reconcile(bool decode_ok) {
-  if (decode_ok) {
-    ++window_reconcile_ok_;
-  } else {
-    ++window_reconcile_fail_;
-  }
 }
 
 void AnomalyMonitor::raise(AnomalyKind kind, double value, double threshold,
@@ -86,10 +67,12 @@ void AnomalyMonitor::raise(AnomalyKind kind, double value, double threshold,
 void AnomalyMonitor::tick() {
   const double now_s = sim::to_seconds(sim_.now());
 
-  // censor-dwell: oldest-first scan; alert once per tx, keep it in flight so
-  // a late settle still clears it.
-  for (const auto& [tid, created_at] : inflight_) {
-    const double dwell_s = now_s - sim::to_seconds(created_at);
+  // censor-dwell: scan the submitted, unsettled txs in short-id order;
+  // alert once per tx. raise() emits an event the analyzer ignores, so the
+  // scan's iterators stay valid.
+  for (const auto& [tid, tx] : analyzer_->txs) {
+    if (!tx.inflight()) continue;
+    const double dwell_s = now_s - sim::to_seconds(tx.submit_at);
     if (dwell_s < cfg_.censor_dwell_threshold_s) continue;
     if (!dwell_alerted_.insert(tid).second) continue;
     char buf[96];
@@ -100,29 +83,36 @@ void AnomalyMonitor::tick() {
   }
 
   // suspicion-spike.
-  if (window_suspicions_ > cfg_.suspicion_spike_threshold) {
-    raise(AnomalyKind::kSuspicionSpike,
-          static_cast<double>(window_suspicions_),
+  const std::size_t suspicions = analyzer_->suspicion_events.size();
+  const std::uint64_t window_suspicions = suspicions - seen_suspicions_;
+  if (window_suspicions > cfg_.suspicion_spike_threshold) {
+    raise(AnomalyKind::kSuspicionSpike, static_cast<double>(window_suspicions),
           static_cast<double>(cfg_.suspicion_spike_threshold),
-          std::to_string(window_suspicions_) + " suspicions in one tick");
+          std::to_string(window_suspicions) + " suspicions in one tick");
   }
 
   // reconcile-fail.
-  const std::uint64_t total = window_reconcile_ok_ + window_reconcile_fail_;
+  const std::uint64_t ok = analyzer_->reconciles_ok;
+  const std::uint64_t fail = analyzer_->reconciles_failed;
+  const std::uint64_t window_fail = fail - seen_reconcile_fail_;
+  const std::uint64_t total = ok - seen_reconcile_ok_ + window_fail;
   if (total >= cfg_.reconcile_min_samples) {
-    const double ratio = static_cast<double>(window_reconcile_fail_) /
-                         static_cast<double>(total);
+    const double ratio =
+        static_cast<double>(window_fail) / static_cast<double>(total);
     if (ratio >= cfg_.reconcile_failure_ratio) {
       raise(AnomalyKind::kReconcileFailure, ratio,
             cfg_.reconcile_failure_ratio,
-            std::to_string(window_reconcile_fail_) + "/" +
-                std::to_string(total) + " sketch decodes overflowed");
+            std::to_string(window_fail) + "/" + std::to_string(total) +
+                " sketch decodes overflowed");
     }
   }
 
   // commit-slo: nearest-rank p95 over the window's settle latencies.
-  if (!window_settle_latency_s_.empty()) {
-    std::vector<double> sorted = window_settle_latency_s_;
+  const auto& settles = analyzer_->settle_latency.values();
+  if (seen_settles_ < settles.size()) {
+    std::vector<double> sorted(
+        settles.begin() + static_cast<std::ptrdiff_t>(seen_settles_),
+        settles.end());
     std::sort(sorted.begin(), sorted.end());
     const std::size_t rank = std::max<std::size_t>(
         1, static_cast<std::size_t>(
@@ -137,10 +127,10 @@ void AnomalyMonitor::tick() {
     }
   }
 
-  window_suspicions_ = 0;
-  window_reconcile_ok_ = 0;
-  window_reconcile_fail_ = 0;
-  window_settle_latency_s_.clear();
+  seen_suspicions_ = suspicions;
+  seen_reconcile_ok_ = ok;
+  seen_reconcile_fail_ = fail;
+  seen_settles_ = settles.size();
 }
 
 }  // namespace lo::harness

@@ -1,5 +1,6 @@
-// AnomalyMonitor — online accountability anomaly detection over the harness
-// feeds (DESIGN.md §5). Four streaming detectors run on a fixed tick:
+// AnomalyMonitor — online accountability anomaly detection over the event
+// analyzer (harness/analyzer.hpp, DESIGN.md §5). Four streaming detectors
+// run on a fixed tick:
 //
 //   censor-dwell     a submitted transaction has been in flight (no settle)
 //                    longer than the dwell watermark — the primary online
@@ -12,20 +13,20 @@
 //   commit-slo       the p95 submit->settle latency of the tick window
 //                    breached the commit-latency SLO.
 //
-// Determinism: feeds are called from the network's tracer sink and
-// coordinator-scheduled closures, state uses ordered containers, and the tick
-// itself is an ordinary coordinator timer — so the alert stream, the
-// lo.anomaly.* counters and the kAnomaly trace events are byte-identical on
-// same-seed replay. Feed bodies never emit trace events; only tick() does,
-// from its own (coordinator) dispatch.
+// Each tick reads the analyzer's tx table (in short-id order) and the part
+// of its running counts that arrived since the previous tick. The analyzer
+// is fed by the network's tracer sink; the tick is an ordinary coordinator
+// timer, and the only place the monitor emits trace events — so the alert
+// stream, the lo.anomaly.* counters and the kAnomaly trace events are
+// byte-identical on same-seed replay.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "harness/analyzer.hpp"
 #include "sim/simulator.hpp"
 
 namespace lo::harness {
@@ -65,17 +66,11 @@ class AnomalyMonitor {
  public:
   AnomalyMonitor(sim::Simulator& sim, const AnomalyConfig& cfg);
 
-  // Arms the recurring tick (coordinator timer). Call once.
-  void start();
-
-  // --- feeds (coordinator context only) ---
-  void on_submit(std::uint64_t txid_short, sim::TimePoint created_at);
-  void on_settle(std::uint64_t txid_short, sim::TimePoint when);
-  void on_suspicion();
-  void on_reconcile(bool decode_ok);
+  // Arms the recurring tick (coordinator timer) over `analyzer`, which must
+  // outlive the monitor. The first window starts now. Call once.
+  void start(const Analyzer& analyzer);
 
   const std::vector<Alert>& alerts() const noexcept { return alerts_; }
-  std::uint64_t inflight() const noexcept { return inflight_.size(); }
 
  private:
   void schedule_tick();
@@ -85,19 +80,17 @@ class AnomalyMonitor {
 
   sim::Simulator& sim_;
   AnomalyConfig cfg_;
-  bool started_ = false;
+  const Analyzer* analyzer_ = nullptr;  // set by start()
   sim::Duration period_ = 0;
 
-  // Submitted-but-unsettled txs, keyed by short id (ordered: the dwell scan
-  // iterates it, and iteration order is part of the determinism surface).
-  std::map<std::uint64_t, sim::TimePoint> inflight_;
   std::set<std::uint64_t> dwell_alerted_;  // one dwell alert per tx
 
-  // Per-tick windows, reset by tick().
-  std::uint64_t window_suspicions_ = 0;
-  std::uint64_t window_reconcile_ok_ = 0;
-  std::uint64_t window_reconcile_fail_ = 0;
-  std::vector<double> window_settle_latency_s_;
+  // The analyzer's running counts at the previous tick: a window is what
+  // arrived since.
+  std::size_t seen_suspicions_ = 0;
+  std::uint64_t seen_reconcile_ok_ = 0;
+  std::uint64_t seen_reconcile_fail_ = 0;
+  std::size_t seen_settles_ = 0;
 
   std::vector<Alert> alerts_;
 

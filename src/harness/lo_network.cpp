@@ -33,48 +33,11 @@ LoNetwork::LoNetwork(const NetworkConfig& config) : Network(config) {
   }
 }
 
-void LoNetwork::on_inject(const core::Transaction& tx) {
-  tx_created_.emplace(tx.id, tx.created_at);
-}
-
-void LoNetwork::on_event(const obs::TraceEvent& ev) {
-  switch (static_cast<obs::EventKind>(ev.kind)) {
-    case obs::EventKind::kSuspected:
-      suspicion_events_.push_back({ev.node, ev.peer, sim::to_seconds(ev.at)});
-      if (anomaly_) anomaly_->on_suspicion();
-      break;
-    case obs::EventKind::kExpose:
-      exposure_events_.push_back({ev.node, ev.peer, sim::to_seconds(ev.at)});
-      break;
-    case obs::EventKind::kReconcileRound:
-      if (anomaly_) anomaly_->on_reconcile(ev.a != obs::kReconcileOverflow);
-      break;
-    case obs::EventKind::kMemberState: {
-      const auto state = static_cast<membership::MemberState>(ev.a);
-      const double when_s = sim::to_seconds(ev.at);
-      member_events_.push_back({ev.node, ev.peer, state, when_s});
-      // Crash -> confirmation latency: only counted while the member is in
-      // fact down (a confirm of a node that already restarted is stale
-      // news, not a detection).
-      if (state == membership::MemberState::kConfirmed &&
-          ev.peer < crash_time_s_.size() && crash_time_s_[ev.peer] >= 0.0) {
-        const double latency_s = when_s - crash_time_s_[ev.peer];
-        membership_detection_latency_.add(latency_s);
-        sim_.obs().registry.histogram("membership.detection_latency_s")
-            .observe(latency_s);
-      }
-      break;
-    }
-    default:
-      Network::on_event(ev);
-  }
-}
-
 void LoNetwork::start_block_production(const consensus::LeaderConfig& cfg,
                                        bool correct_leaders_only) {
   leaders_ = std::make_unique<consensus::LeaderSchedule>(nodes_.size(), cfg);
   correct_leaders_only_ = correct_leaders_only;
-  settle_at_admit_ = false;
+  sim_.obs().tracer.emit(obs::EventKind::kBlockStart, 0);
   schedule_next_block();
 }
 
@@ -95,7 +58,6 @@ void LoNetwork::schedule_next_block() {
     // k = 1 is exactly the single pre-sharding draw.
     const std::uint32_t k = nodes_.empty() ? 1 : nodes_[0]->shard_count();
     const auto leaders = leaders_->next_leaders(k, filter);
-    const double now_s = sim::to_seconds(sim_.now());
     for (std::uint32_t s = 0; s < k; ++s) {
       const auto leader = leaders[s];
       // A down proposer simply misses its shard's slot — the other shards
@@ -107,16 +69,14 @@ void LoNetwork::schedule_next_block() {
       const auto block = nodes_[leader]->create_block(chain_.height() + 1,
                                                       chain_.tip_hash(), s);
       chain_.append(block);
-      // First-inclusion latency per transaction (Fig. 8 left).
+      // One tx.finalize per tx, at its first inclusion: the analyzer takes
+      // its block latency (Fig. 8 left) and settles it there.
       for (const auto& seg : block.segments) {
         for (const auto& id : seg.txids) {
-          if (!tx_settled_.insert(id).second) continue;
-          sim_.obs().tracer.emit(obs::EventKind::kTxFinalize, leader, 0,
-                                 core::txid_short(id), block.height);
-          if (anomaly_) anomaly_->on_settle(core::txid_short(id), sim_.now());
-          auto it = tx_created_.find(id);
-          if (it == tx_created_.end()) continue;
-          block_latency_.add(now_s - sim::to_seconds(it->second));
+          const auto txid = core::txid_short(id);
+          if (analyzer_.finalized(txid)) continue;
+          sim_.obs().tracer.emit(obs::EventKind::kTxFinalize, leader, 0, txid,
+                                 block.height);
         }
       }
     }
@@ -187,7 +147,7 @@ std::vector<std::string> LoNetwork::check_invariants() const {
       for (const auto& [member, ms] : det->members()) {
         if (ms.state != membership::MemberState::kConfirmed) continue;
         if (member < n && !malicious_[member] &&
-            sim_.node_up(member) && !ever_crashed(member)) {
+            sim_.node_up(member) && analyzer_.crashed.count(member) == 0) {
           note("node " + std::to_string(i) +
                " confirmed live correct node " + std::to_string(member) +
                " as faulty");
@@ -231,21 +191,38 @@ crypto::VerifyCacheStats LoNetwork::total_verify_cache_stats() const {
   return sum;
 }
 
+namespace {
+
+// Observes the samples recorded since the high-water mark `published`.
+void observe_new(obs::LogHistogram& h, const sim::Samples& samples,
+                 std::size_t& published) {
+  for (std::size_t i = published; i < samples.count(); ++i) {
+    h.observe(samples.values()[i]);
+  }
+  published = samples.count();
+}
+
+}  // namespace
+
 void LoNetwork::publish_metrics() {
   auto& reg = sim_.obs().registry;
+  const auto& txs = analyzer_.txs;
   reg.gauge("harness.txs_injected") = static_cast<double>(txs_injected());
-  reg.gauge("harness.txs_settled") = static_cast<double>(tx_settled_.size());
+  // Txs included in a block; a run without blocks reports 0.
+  reg.gauge("harness.txs_settled") = static_cast<double>(
+      std::count_if(txs.begin(), txs.end(),
+                    [](const auto& kv) { return kv.second.finalize_at >= 0; }));
   reg.gauge("harness.chain_height") = static_cast<double>(chain_.height());
-  auto& mempool_h = reg.histogram("harness.mempool_latency_s");
-  for (std::size_t i = published_mempool_; i < mempool_latency_.count(); ++i) {
-    mempool_h.observe(mempool_latency_.values()[i]);
+  observe_new(reg.histogram("harness.mempool_latency_s"),
+              analyzer_.mempool_latency, published_mempool_);
+  observe_new(reg.histogram("harness.block_latency_s"),
+              analyzer_.block_latency, published_block_);
+  // Only a run with a confirmed crash has this histogram.
+  const auto& detection = analyzer_.membership_detection_latency;
+  if (published_detection_ < detection.count()) {
+    observe_new(reg.histogram("membership.detection_latency_s"), detection,
+                published_detection_);
   }
-  published_mempool_ = mempool_latency_.count();
-  auto& block_h = reg.histogram("harness.block_latency_s");
-  for (std::size_t i = published_block_; i < block_latency_.count(); ++i) {
-    block_h.observe(block_latency_.values()[i]);
-  }
-  published_block_ = block_latency_.count();
 }
 
 double LoNetwork::coverage(const core::TxId& id) const {
@@ -265,75 +242,6 @@ std::uint64_t LoNetwork::total_sketch_decodes() const {
   std::uint64_t sum = 0;
   for (const auto& n : nodes_) sum += n->sketch_decodes();
   return sum;
-}
-
-DetectionTimes LoNetwork::detection_times() const {
-  DetectionTimes out;
-  if (malicious_count_ == 0) return out;
-
-  // For completeness we need, for every (correct node, faulty node) pair, the
-  // first time the correct node blamed the faulty one.
-  const std::size_t n = nodes_.size();
-  auto pair_key = [n](core::NodeId a, core::NodeId b) {
-    return static_cast<std::uint64_t>(a) * n + b;
-  };
-
-  auto complete_time = [&](const std::vector<BlameEvent>& events) {
-    std::unordered_map<std::uint64_t, double> first;
-    for (const auto& ev : events) {
-      if (ev.observer >= n || ev.accused >= n) continue;
-      if (malicious_[ev.observer] || !malicious_[ev.accused]) continue;
-      auto [it, inserted] = first.emplace(pair_key(ev.observer, ev.accused), ev.when_s);
-      if (!inserted && ev.when_s < it->second) it->second = ev.when_s;
-    }
-    const std::size_t want = (n - malicious_count_) * malicious_count_;
-    if (first.size() < want) return -1.0;
-    double latest = 0.0;
-    // lolint:allow(unordered-iter) reason=a max does not depend on the order
-    for (const auto& [k, t] : first) latest = std::max(latest, t);
-    return latest;
-  };
-
-  out.suspicion_complete_s = complete_time(suspicion_events_);
-  out.exposure_complete_s = complete_time(exposure_events_);
-  if (!exposure_events_.empty()) {
-    double first = exposure_events_.front().when_s;
-    for (const auto& ev : exposure_events_) first = std::min(first, ev.when_s);
-    out.first_exposure_s = first;
-  }
-
-  // Per-attacker dissemination lag (paper's Fig. 6 "Exposure" measurement).
-  if (out.exposure_complete_s >= 0) {
-    std::unordered_map<core::NodeId, double> first_by;
-    std::unordered_map<core::NodeId, double> last_by;
-    std::unordered_map<core::NodeId, std::size_t> seen_by;
-    std::unordered_map<std::uint64_t, bool> pair_seen;
-    for (const auto& ev : exposure_events_) {
-      if (ev.observer >= n || ev.accused >= n) continue;
-      if (malicious_[ev.observer] || !malicious_[ev.accused]) continue;
-      if (!pair_seen.emplace(pair_key(ev.observer, ev.accused), true).second) {
-        continue;
-      }
-      auto [fit, fnew] = first_by.emplace(ev.accused, ev.when_s);
-      if (!fnew) fit->second = std::min(fit->second, ev.when_s);
-      auto [lit, lnew] = last_by.emplace(ev.accused, ev.when_s);
-      if (!lnew) lit->second = std::max(lit->second, ev.when_s);
-      ++seen_by[ev.accused];
-    }
-    double spread = 0.0;
-    bool all = true;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!malicious_[i]) continue;
-      const auto id = static_cast<core::NodeId>(i);
-      if (seen_by[id] < n - malicious_count_) {
-        all = false;
-        break;
-      }
-      spread = std::max(spread, last_by[id] - first_by[id]);
-    }
-    if (all) out.exposure_spread_s = spread;
-  }
-  return out;
 }
 
 }  // namespace lo::harness

@@ -1,17 +1,13 @@
 // LoNetwork — a full LØ deployment on the shared network scaffold
 // (harness/network.hpp): LoNodes with keys, the shared verify tier and the
 // faulty population's behavior, plus what only LØ has: rotation and SWIM
-// wiring, the consensus stub, the invariant checker and the blame and member
-// feeds, which it reads from the tracer's sink like the scaffold's own.
-// Every evaluation figure and all integration tests drive the protocol
-// through this class.
+// wiring, the consensus stub and the invariant checker. Every evaluation
+// figure and all integration tests drive the protocol through this class.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "consensus/chain.hpp"
@@ -30,27 +26,14 @@ struct NetworkConfig : ScaffoldConfig {
   core::MaliciousBehavior malicious;
 };
 
-struct DetectionTimes {
-  // For each faulty node: the time by which EVERY correct node had
-  // suspected/learned-exposure of it; <0 when incomplete.
-  double suspicion_complete_s = -1.0;
-  double exposure_complete_s = -1.0;
-  double first_exposure_s = -1.0;  // first detection anywhere
-  // The paper's Fig. 6 "Exposure" series measures dissemination: the time
-  // from the FIRST node detecting a given attacker until ALL correct nodes
-  // know that attacker, maximized over attackers; <0 when incomplete.
-  double exposure_spread_s = -1.0;
-  bool operator==(const DetectionTimes&) const = default;
-};
-
 class LoNetwork : public Network<core::LoNode> {
  public:
   explicit LoNetwork(const NetworkConfig& config);
 
   // --- consensus stub ---
-  // Schedules block production: random leaders at the configured cadence.
-  // From then on a tx settles at its first block inclusion, not its first
-  // admit.
+  // Emits block.start and schedules block production: random leaders at the
+  // configured cadence. From then on a tx settles at its first block
+  // inclusion, not its first admit.
   void start_block_production(const consensus::LeaderConfig& cfg,
                               bool correct_leaders_only = false);
   const consensus::Chain& chain() const noexcept { return chain_; }
@@ -79,56 +62,22 @@ class LoNetwork : public Network<core::LoNode> {
 
   // --- metrics ---
   // Fig. 8: creation -> first block inclusion, seconds.
-  sim::Samples& block_latency() noexcept { return block_latency_; }
+  sim::Samples& block_latency() noexcept { return analyzer_.block_latency; }
   // Folds harness-level measurements (latency samples, injection counters)
   // into the simulator's metrics registry so one snapshot/export covers the
   // whole run. Only samples recorded since the previous call are observed,
   // so repeated calls never double-count.
   void publish_metrics();
   // Fig. 6: detection completeness over the whole faulty population.
-  DetectionTimes detection_times() const;
+  DetectionTimes detection_times() const {
+    return analyzer_.detection_times(malicious_);
+  }
   // Fraction of correct nodes holding the tx with the given id.
   double coverage(const core::TxId& id) const;
   // Sketch decodes over all nodes.
   std::uint64_t total_sketch_decodes() const;
 
-  // Raw event feeds for custom analyses: one entry per kSuspected and per
-  // kExpose event (see obs::EventKind).
-  struct BlameEvent {
-    core::NodeId observer;
-    core::NodeId accused;
-    double when_s;
-    bool operator==(const BlameEvent&) const = default;
-  };
-  const std::vector<BlameEvent>& suspicion_events() const noexcept {
-    return suspicion_events_;
-  }
-  const std::vector<BlameEvent>& exposure_events() const noexcept {
-    return exposure_events_;
-  }
-
-  // Membership (SWIM) observations; empty unless config.node.membership is
-  // enabled. One entry per kMemberState event (a SWIM state transition).
-  struct MemberEvent {
-    core::NodeId observer;
-    core::NodeId member;
-    membership::MemberState state;
-    double when_s;
-    bool operator==(const MemberEvent&) const = default;
-  };
-  const std::vector<MemberEvent>& member_events() const noexcept {
-    return member_events_;
-  }
-  // Crash -> first-confirmation latency samples, seconds: one per (observer,
-  // crashed member) confirmation while the member was actually down. Also
-  // published to the registry histogram "membership.detection_latency_s".
-  const sim::Samples& membership_detection_latency() const noexcept {
-    return membership_detection_latency_;
-  }
-
  private:
-  void on_inject(const core::Transaction& tx) override;
-  void on_event(const obs::TraceEvent& ev) override;
   void schedule_next_block();
   void schedule_invariant_check();
 
@@ -141,20 +90,14 @@ class LoNetwork : public Network<core::LoNode> {
   std::unique_ptr<consensus::LeaderSchedule> leaders_;
   bool correct_leaders_only_ = false;
   consensus::Chain chain_;
-  std::unordered_map<core::TxId, std::int64_t, core::TxIdHash> tx_created_;
-  std::unordered_set<core::TxId, core::TxIdHash> tx_settled_;
 
   sim::Duration invariant_period_ = 0;
   bool invariant_fail_fast_ = true;
   std::vector<std::string> invariant_violations_;
 
-  sim::Samples block_latency_;
   std::size_t published_mempool_ = 0;  // publish_metrics() high-water marks
   std::size_t published_block_ = 0;
-  std::vector<BlameEvent> suspicion_events_;
-  std::vector<BlameEvent> exposure_events_;
-  std::vector<MemberEvent> member_events_;
-  sim::Samples membership_detection_latency_;
+  std::size_t published_detection_ = 0;
 };
 
 }  // namespace lo::harness

@@ -1,10 +1,11 @@
 // Network<NodeT> — the one network scaffold every experiment runs on:
 // simulator + latency model + overlay topology + nodes + Poisson workload +
-// faults + anomaly monitor + mempool-latency samples. LØ (LoNetwork, which
-// adds what only LØ has) and the Sec. 6.4 baselines (Network<FloodNode>,
+// faults + anomaly monitor + the event analyzer. LØ (LoNetwork, which adds
+// what only LØ has) and the Sec. 6.4 baselines (Network<FloodNode>,
 // Network<PeerReviewNode>, Network<NarwhalNode>) all run on it, so the
 // Fig. 9 comparison holds every condition but the protocol fixed. It
-// observes its nodes only through the tracer's sink (on_event).
+// observes its nodes only through the tracer's sink, which feeds every event
+// to its harness::Analyzer.
 #pragma once
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "core/transaction.hpp"
+#include "harness/analyzer.hpp"
 #include "harness/anomaly.hpp"
 #include "obs/trace.hpp"
 #include "overlay/topology.hpp"
@@ -69,7 +71,6 @@ class Network {
       return std::make_unique<NodeT>(sim_, id, node_cfg);
     });
   }
-  virtual ~Network() = default;
 
   sim::Simulator& sim() noexcept { return sim_; }
   std::size_t size() const noexcept { return nodes_.size(); }
@@ -97,7 +98,7 @@ class Network {
   // --- fault injection ---
   // Crashes node i: marks it down in the simulator (suppressing its timers
   // and dropping its traffic) and wipes its volatile state; the commitment
-  // log survives as "disk". No-op when already down.
+  // log survives as "disk". Emits fault.crash. No-op when already down.
   void crash_node(std::size_t i, bool wipe_mempool = false) {
     const auto id = static_cast<core::NodeId>(i);
     if (!sim_.node_up(id)) return;
@@ -105,23 +106,23 @@ class Network {
     // the dying node scheduled can fire; then the node wipes volatile state.
     sim_.set_node_up(id, false);
     nodes_.at(i)->crash(wipe_mempool);
-    crash_time_s_.at(i) = sim::to_seconds(sim_.now());
-    ever_crashed_.at(i) = true;
+    sim_.obs().tracer.emit(obs::EventKind::kFaultCrash, id, 0, 0,
+                           wipe_mempool ? 1 : 0);
   }
   // Restarts node i: marks it up, re-arms its periodic machinery and lets it
-  // rejoin through the ordinary sync path. No-op when already up.
+  // rejoin through the ordinary sync path. Emits fault.restart. No-op when
+  // already up.
   void restart_node(std::size_t i) {
     const auto id = static_cast<core::NodeId>(i);
     if (sim_.node_up(id)) return;
     // Up first: restart() re-arms timers under the current (live) epoch.
     sim_.set_node_up(id, true);
     nodes_.at(i)->restart();
-    crash_time_s_.at(i) = -1.0;
+    sim_.obs().tracer.emit(obs::EventKind::kFaultRestart, id);
   }
   bool node_down(std::size_t i) const {
     return !sim_.node_up(static_cast<core::NodeId>(i));
   }
-  bool ever_crashed(std::size_t i) const { return ever_crashed_.at(i); }
   // Lazily constructed deterministic fault injector (seeded from the network
   // seed) with its crash/restart handlers wired to the two methods above.
   sim::FaultInjector& faults() {
@@ -147,7 +148,7 @@ class Network {
   AnomalyMonitor& start_anomaly_monitor(const AnomalyConfig& cfg = {}) {
     if (!anomaly_) {
       anomaly_ = std::make_unique<AnomalyMonitor>(sim_, cfg);
-      anomaly_->start();
+      anomaly_->start(analyzer_);
     }
     return *anomaly_;
   }
@@ -159,8 +160,12 @@ class Network {
   }
 
   // --- metrics ---
+  // Every fact derived from the run's events (harness/analyzer.hpp).
+  const Analyzer& analyzer() const noexcept { return analyzer_; }
   // Fig. 7: per-(node, tx) mempool admission latencies, seconds.
-  sim::Samples& mempool_latency() noexcept { return mempool_latency_; }
+  sim::Samples& mempool_latency() noexcept {
+    return analyzer_.mempool_latency;
+  }
 
  protected:
   // Every step before the nodes, in the order the seeded RNG stream depends
@@ -171,14 +176,14 @@ class Network {
     const std::size_t n = config.num_nodes;
 
     // Tracing goes live before nodes exist so construction-time events
-    // (first timers) land in the stream too. The feeds read the sink, which
-    // is installed whether or not the ring records.
+    // (first timers) land in the stream too. The analyzer reads the sink,
+    // which is installed whether or not the ring records.
     if (config.trace_capacity > 0) {
       sim_.obs().tracer.set_capacity(config.trace_capacity);
     }
     if (config.trace) sim_.obs().tracer.enable(true);
     sim_.obs().tracer.set_sink(
-        [this](const obs::TraceEvent& ev) { on_event(ev); });
+        [this](const obs::TraceEvent& ev) { analyzer_.observe(ev); });
 
     if (config.city_latency) {
       sim_.set_latency_model(std::make_shared<sim::CityLatencyModel>());
@@ -213,9 +218,6 @@ class Network {
         topology_.add_edge(bad[i], bad[i + 1]);  // ring suffices for collusion
       }
     }
-
-    crash_time_s_.assign(n, -1.0);
-    ever_crashed_.assign(n, false);
   }
 
   // Builds node i as make(i), registers it with the simulator, then wires
@@ -235,38 +237,21 @@ class Network {
     }
   }
 
-  // Called once per injected tx, before it is placed.
-  virtual void on_inject(const core::Transaction&) {}
-
-  // The tracer's sink: every event emitted, recorded or not. An admit
-  // (kTxAdmit, b = created_at) is one mempool-latency sample, and the settle
-  // rule: a tx settles at its first mempool admit anywhere until block
-  // production starts, at its first block inclusion after (LoNetwork);
-  // on_settle is first-wins either way.
-  virtual void on_event(const obs::TraceEvent& ev) {
-    if (ev.kind != static_cast<std::uint16_t>(obs::EventKind::kTxAdmit)) return;
-    mempool_latency_.add(
-        sim::to_seconds(ev.at - static_cast<sim::TimePoint>(ev.b)));
-    if (anomaly_ && settle_at_admit_) anomaly_->on_settle(ev.a, ev.at);
-  }
-
   ScaffoldConfig config_;
+  // Declared before sim_, so it outlives the sink sim_'s tracer holds.
+  Analyzer analyzer_;
   sim::Simulator sim_;
   overlay::Topology topology_;
   std::vector<std::unique_ptr<NodeT>> nodes_;
   std::vector<bool> malicious_;
   std::size_t malicious_count_ = 0;
   std::unique_ptr<AnomalyMonitor> anomaly_;
-  bool settle_at_admit_ = true;
-  sim::Samples mempool_latency_;
-  std::vector<double> crash_time_s_;  // per node; < 0 while the node is up
 
  private:
   void schedule_next_tx() {
     sim_.schedule(txgen_->next_gap_us(), [this] {
       if (workload_stopped_) return;
       auto tx = txgen_->next(sim_.now());
-      on_inject(tx);
       ++txs_injected_;
       // Submit to random correct nodes (clients would avoid known-bad peers;
       // submitting to a censoring node would only measure the censorship).
@@ -278,11 +263,8 @@ class Network {
         if (malicious_[i]) continue;
         // Clients cannot reach a down node; they pick another correct peer.
         if (!sim_.node_up(static_cast<core::NodeId>(i))) continue;
-        // In flight before the first placement, whose synchronous admit may
-        // already settle it.
-        if (placed == 0 && anomaly_) {
-          anomaly_->on_submit(core::txid_short(tx.id), tx.created_at);
-        }
+        // The tx is in flight from its first tx.submit, before the placement
+        // whose synchronous admit may already settle it.
         sim_.obs().tracer.emit(obs::EventKind::kTxSubmit,
                                static_cast<std::uint32_t>(i), 0,
                                core::txid_short(tx.id));
@@ -298,7 +280,6 @@ class Network {
   std::uint64_t txs_injected_ = 0;
   bool workload_stopped_ = false;
   std::unique_ptr<sim::FaultInjector> faults_;
-  std::vector<bool> ever_crashed_;
 };
 
 }  // namespace lo::harness

@@ -261,51 +261,9 @@ std::string Registry::to_json(std::string_view suite) const {
   return out;
 }
 
-std::string Registry::to_csv() const {
-  std::string out = "id,kind,value,count,sum,min,max,p50,p95,p99\n";
-  for (const auto& [id, c] : cells_) {
-    out += id;
-    out.push_back(',');
-    out += metric_kind_name(c.kind);
-    out.push_back(',');
-    switch (c.kind) {
-      case MetricKind::kCounter:
-        append_u64(out, c.counter);
-        out += ",,,,,,,";
-        break;
-      case MetricKind::kGauge:
-        append_double(out, c.gauge);
-        out += ",,,,,,,";
-        break;
-      case MetricKind::kHistogram:
-        out.push_back(',');
-        append_u64(out, c.hist.count());
-        out.push_back(',');
-        append_double(out, c.hist.sum());
-        out.push_back(',');
-        append_double(out, c.hist.min());
-        out.push_back(',');
-        append_double(out, c.hist.max());
-        out.push_back(',');
-        append_double(out, c.hist.quantile(0.5));
-        out.push_back(',');
-        append_double(out, c.hist.quantile(0.95));
-        out.push_back(',');
-        append_double(out, c.hist.quantile(0.99));
-        break;
-    }
-    out.push_back('\n');
-  }
-  return out;
-}
-
 bool Registry::write_json(const std::string& path,
                           std::string_view suite) const {
   return write_text_file(path, to_json(suite));
-}
-
-bool Registry::write_csv(const std::string& path) const {
-  return write_text_file(path, to_csv());
 }
 
 Registry::Snapshot rollup(const Registry::Snapshot& snap) {

@@ -2,8 +2,7 @@
 //
 // Named, labeled counters / gauges / log-bucketed histograms with stable cell
 // addresses, per-node scopes (label-prefixed views), snapshot/rollup for
-// per-node -> global aggregation, and JSON + CSV export shaped like the
-// bench_common reports so one parser handles every artifact CI uploads.
+// per-node -> global aggregation, and one export format, JSON.
 //
 // Determinism rules (lolint-enforced for all of src/obs/): no wall clocks and
 // no unordered-container iteration. Cells live in a std::map keyed by the
@@ -107,15 +106,13 @@ class Registry {
   Snapshot snapshot() const;
   void clear();
 
-  // bench_common-style JSON ({"context": {...}, "metrics": [...]}) and flat
-  // CSV. Both walk the cell map in key order: byte-identical across
-  // same-seed runs. write_* return false (and print to stderr) on I/O
-  // failure so smoke runs notice a missing artifact.
+  // JSON ({"context": {...}, "metrics": [...]}), walking the cell map in
+  // key order: byte-identical across same-seed runs. write_json returns
+  // false (and prints to stderr) on I/O failure so smoke runs notice a
+  // missing artifact.
   std::string to_json(std::string_view suite = "lo_obs") const;
-  std::string to_csv() const;
   bool write_json(const std::string& path,
                   std::string_view suite = "lo_obs") const;
-  bool write_csv(const std::string& path) const;
 
  private:
   Cell& cell(std::string_view name, const Labels& labels, MetricKind kind);

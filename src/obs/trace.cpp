@@ -10,10 +10,9 @@ namespace lo::obs {
 namespace {
 
 constexpr std::uint8_t kMagic[4] = {'L', 'O', 'T', 'R'};
-// v1: 40-byte events (no causal layer). v2: 56-byte events with span/parent.
-// from_bytes reads both; bytes() always writes the current version.
-constexpr std::uint32_t kVersionV1 = 1;
+// v2: 56-byte events with the causal span/parent.
 constexpr std::uint32_t kVersion = 2;
+constexpr std::uint64_t kEventWireSize = 56;
 
 void append_u64_dec(std::string& out, std::uint64_t v) {
   char buf[32];
@@ -58,6 +57,7 @@ const char* event_kind_name(EventKind k) noexcept {
     case EventKind::kReconcileRound: return "reconcile.round";
     case EventKind::kBlockBuild: return "block.build";
     case EventKind::kBlockInspect: return "block.inspect";
+    case EventKind::kBlockStart: return "block.start";
     case EventKind::kSuspect: return "blame.suspect";
     case EventKind::kRetract: return "blame.retract";
     case EventKind::kExpose: return "blame.expose";
@@ -220,9 +220,7 @@ Tracer::File Tracer::from_bytes(std::span<const std::uint8_t> data) {
     if (r.u8() != m) throw util::SerdeError("bad trace magic");
   }
   const std::uint32_t version = r.u32();
-  if (version != kVersion && version != kVersionV1) {
-    throw util::SerdeError("unsupported trace version");
-  }
+  if (version != kVersion) throw util::SerdeError("unsupported trace version");
   File f;
   f.dropped = r.u64();
   const std::uint32_t nnames = r.u32();
@@ -230,10 +228,9 @@ Tracer::File Tracer::from_bytes(std::span<const std::uint8_t> data) {
   for (std::uint32_t i = 0; i < nnames; ++i) f.names.push_back(r.str());
   const std::uint64_t nevents = r.u64();
   // Clamp reserve by what the buffer can hold so a hostile count prefix
-  // cannot force a huge allocation (events are 40 wire bytes in v1, 56 in v2).
-  const std::uint64_t wire_size = version == kVersionV1 ? 40 : 56;
+  // cannot force a huge allocation.
   f.events.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(nevents, r.remaining() / wire_size)));
+      std::min<std::uint64_t>(nevents, r.remaining() / kEventWireSize)));
   for (std::uint64_t i = 0; i < nevents; ++i) {
     TraceEvent ev;
     ev.at = static_cast<std::int64_t>(r.u64());
@@ -244,10 +241,8 @@ Tracer::File Tracer::from_bytes(std::span<const std::uint8_t> data) {
     ev.aux = r.u32();
     ev.a = r.u64();
     ev.b = r.u64();
-    if (version >= kVersion) {
-      ev.span = r.u64();
-      ev.parent = r.u64();
-    }
+    ev.span = r.u64();
+    ev.parent = r.u64();
     if (ev.name >= f.names.size()) throw util::SerdeError("trace name id out of range");
     f.events.push_back(ev);
   }
@@ -315,7 +310,6 @@ void append_chrome_event(std::string& out, const Tracer::File& f,
       out += reconcile_outcome_name(ev.a);
       out += "\"";
     }
-    // Causal layer (v2 traces only): pre-causal captures render unchanged.
     if (ev.span != 0) {
       out += ", \"span\": ";
       append_u64_dec(out, ev.span);
@@ -379,19 +373,6 @@ std::string chrome_json(const Tracer& t) {
   f.names = t.names();
   f.events = t.events();
   return chrome_json(f);
-}
-
-bool write_chrome_json(const Tracer& t, const std::string& path) {
-  const std::string text = chrome_json(t);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "obs: cannot write %s\n", path.c_str());
-    return false;
-  }
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  std::fclose(f);
-  if (!ok) std::fprintf(stderr, "obs: short write to %s\n", path.c_str());
-  return ok;
 }
 
 }  // namespace lo::obs

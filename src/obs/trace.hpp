@@ -11,7 +11,7 @@
 // commitment lifecycle (created -> observed -> reconciled -> finalized),
 // sketch-reconciliation rounds with decode outcomes, verify-cache hits,
 // per-transaction lifecycle spans (submit -> admit -> finalize across
-// nodes), and fault-injector events. PeerReview-style accountability is
+// nodes), and node crashes and restarts. PeerReview-style accountability is
 // itself built on logs of observed events, so the trace doubles as an audit
 // artifact.
 //
@@ -61,6 +61,8 @@ enum class EventKind : std::uint16_t {
   // Blocks. a = short block id; b = tx count (build) / seqno span (inspect).
   kBlockBuild = 40,
   kBlockInspect = 41,
+  kBlockStart = 42,  // the harness started block production: from here on a
+                     // tx settles at its first block inclusion
   // Accountability. peer = accused/exposed node; a = detail.
   kSuspect = 50,    // `node` reported `peer` (its own complaint); a = shard
   kRetract = 51,    // `node` withdrew its own complaint about `peer`
@@ -69,7 +71,8 @@ enum class EventKind : std::uint16_t {
                     // relayed exposure; a = verdict (0xff = equivocation)
   kSuspected = 53,  // `node`'s view gained suspect `peer`, through its own
                     // report or a relayed one (Fig. 6 "Suspicion")
-  // Fault injector. a = detail (e.g. scheduled restart delay us).
+  // Crash and restart of `node` (harness::Network), whoever caused them.
+  // crash: b = 1 when the crash wiped the mempool.
   kFaultCrash = 60,
   kFaultRestart = 61,
   // Verify cache. a = 1 on hit, 0 on miss; b = tier (0 = key, 1 = memo).
@@ -173,9 +176,10 @@ class Tracer {
   std::vector<std::string> names() const;
 
   // The sink receives every emit(), stamped as the ring stamps it, whether
-  // or not the ring records. harness::Network installs it and computes every
-  // harness feed from it. Contract: a fact any feed reads is emitted without
-  // an enabled() guard, so the feeds do not depend on recording.
+  // or not the ring records. harness::Network installs it and hands every
+  // event to its harness::Analyzer. Contract: a fact the analyzer reads is
+  // emitted without an enabled() guard, so its feeds do not depend on
+  // recording.
   using Sink = std::function<void(const TraceEvent&)>;
   void set_sink(Sink sink) { sink_ = std::move(sink); }
 
@@ -207,9 +211,8 @@ class Tracer {
   bool write_file(const std::string& path) const;
 
   // Parsed binary trace (what tools/loscope consumes).
-  // Throws util::SerdeError on malformed input (bad magic, unknown version,
-  // truncated body, out-of-range name id, trailing bytes). Version 1 files
-  // (40-byte events, pre-causal) are still readable: span/parent load as 0.
+  // Throws util::SerdeError on malformed input (bad magic, a version other
+  // than 2, truncated body, out-of-range name id, trailing bytes).
   struct File {
     std::uint64_t dropped = 0;
     std::vector<std::string> names;
@@ -245,6 +248,5 @@ class Tracer {
 // microseconds, which is exactly the unit the format expects.
 std::string chrome_json(const Tracer::File& f);
 std::string chrome_json(const Tracer& t);
-bool write_chrome_json(const Tracer& t, const std::string& path);
 
 }  // namespace lo::obs

@@ -30,9 +30,6 @@ void FaultInjector::crash_now(NodeId node, Duration down_for,
   crash_fn_(node, wipe_mempool);
   down_.insert(node);
   ++*c_crashes_;
-  sim_.obs().tracer.emit(obs::EventKind::kFaultCrash, node, 0,
-                         static_cast<std::uint64_t>(std::max<Duration>(0, down_for)),
-                         wipe_mempool ? 1 : 0);
   sim_.schedule(std::max<Duration>(0, down_for),
                 [this, node] { restart_now(node); });
 }
@@ -41,7 +38,6 @@ void FaultInjector::restart_now(NodeId node) {
   if (down_.erase(node) == 0) return;
   restart_fn_(node);
   ++*c_restarts_;
-  sim_.obs().tracer.emit(obs::EventKind::kFaultRestart, node);
 }
 
 void FaultInjector::crash_at(TimePoint at, NodeId node, Duration down_for,

@@ -19,9 +19,10 @@
 // draw — the draw order then depends only on that sender's send history.
 //
 // Crash/restart policy lives with the caller: the injector invokes the
-// CrashFn/RestartFn handlers (LoNetwork wires them to LoNode::crash/restart
-// plus Simulator::set_node_up) and only tracks which nodes IT took down so
-// churn never double-crashes or resurrects someone else's victim.
+// CrashFn/RestartFn handlers (harness::Network wires them to its
+// crash_node/restart_node, which also emit the fault.crash/fault.restart
+// events) and only tracks which nodes IT took down so churn never
+// double-crashes or resurrects someone else's victim.
 #pragma once
 
 #include <cstdint>

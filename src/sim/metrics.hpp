@@ -43,6 +43,7 @@ class Samples {
 
   const std::vector<double>& values() const noexcept { return values_; }
   void clear() noexcept { values_.clear(); }
+  bool operator==(const Samples&) const = default;
 
  private:
   std::vector<double> values_;

@@ -1,9 +1,9 @@
 // AnomalyMonitor tests: each streaming detector in isolation on a bare
 // simulator (dwell watermark, settle clearing, suspicion spike, reconcile
-// failure ratio, commit-latency SLO), the lo.anomaly.* counter and kAnomaly
-// trace surfaces, the settle rule both node kinds share on the network
-// scaffold, and same-seed replay of the full alert stream when the monitor
-// rides a real LØ run.
+// failure ratio, commit-latency SLO), driven by the events its analyzer
+// folds; the lo.anomaly.* counter and kAnomaly trace surfaces, the settle
+// rule both node kinds share on the network scaffold, and same-seed replay
+// of the full alert stream when the monitor rides a real LØ run.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +11,7 @@
 #include <string>
 
 #include "baselines/flood.hpp"
+#include "harness/analyzer.hpp"
 #include "harness/anomaly.hpp"
 #include "harness/lo_network.hpp"
 #include "harness/network.hpp"
@@ -23,6 +24,18 @@ namespace {
 using harness::AnomalyConfig;
 using harness::AnomalyKind;
 using harness::AnomalyMonitor;
+using obs::EventKind;
+
+// An event as a node or the workload emits it: `a` is the short tx id or
+// the reconcile outcome, `at` its timestamp.
+obs::TraceEvent event(EventKind kind, std::uint64_t a = 0,
+                      sim::TimePoint at = 0) {
+  obs::TraceEvent ev;
+  ev.at = at;
+  ev.kind = static_cast<std::uint16_t>(kind);
+  ev.a = a;
+  return ev;
+}
 
 // ------------------------------------------------------------ censor dwell ----
 
@@ -30,9 +43,10 @@ TEST(Anomaly, CensorDwellAlertsOncePerUnsettledTx) {
   sim::Simulator sim(1);
   AnomalyConfig cfg;
   cfg.censor_dwell_threshold_s = 5.0;
+  harness::Analyzer analyzer;
   AnomalyMonitor mon(sim, cfg);
-  mon.start();
-  mon.on_submit(0xabc, 0);
+  mon.start(analyzer);
+  analyzer.observe(event(EventKind::kTxSubmit, 0xabc));
   sim.run_until(10 * sim::kSecond);
 
   // Ten ticks fire, six of them past the watermark — but the alert is
@@ -43,7 +57,8 @@ TEST(Anomaly, CensorDwellAlertsOncePerUnsettledTx) {
   EXPECT_GE(a.value, 5.0);
   EXPECT_DOUBLE_EQ(a.threshold, 5.0);
   EXPECT_NE(a.detail.find("unsettled"), std::string::npos);
-  EXPECT_EQ(mon.inflight(), 1u);  // still in flight: a late settle can clear it
+  // Still in flight: a late settle can clear it.
+  EXPECT_EQ(analyzer.inflight(), 1u);
 
   auto& reg = sim.obs().registry;
   EXPECT_EQ(reg.counter("lo.anomaly.alerts"), 1u);
@@ -56,14 +71,18 @@ TEST(Anomaly, SettleClearsInflightBeforeTheWatermark) {
   sim::Simulator sim(1);
   AnomalyConfig cfg;
   cfg.censor_dwell_threshold_s = 5.0;
+  harness::Analyzer analyzer;
   AnomalyMonitor mon(sim, cfg);
-  mon.start();
-  mon.on_submit(0xabc, 0);
-  sim.schedule(2 * sim::kSecond, [&] { mon.on_settle(0xabc, sim.now()); });
-  mon.on_settle(0xdead, 0);  // unknown tx: ignored, not a crash
+  mon.start(analyzer);
+  analyzer.observe(event(EventKind::kTxSubmit, 0xabc));
+  sim.schedule(2 * sim::kSecond, [&] {
+    analyzer.observe(event(EventKind::kTxAdmit, 0xabc, sim.now()));
+  });
+  // A tx never submitted settles but was never in flight.
+  analyzer.observe(event(EventKind::kTxAdmit, 0xdead));
   sim.run_until(10 * sim::kSecond);
   EXPECT_TRUE(mon.alerts().empty());
-  EXPECT_EQ(mon.inflight(), 0u);
+  EXPECT_EQ(analyzer.inflight(), 0u);
 }
 
 // --------------------------------------------------------- suspicion spike ----
@@ -72,10 +91,11 @@ TEST(Anomaly, SuspicionSpikeFiresOnlyInTheHotWindow) {
   sim::Simulator sim(1);
   AnomalyConfig cfg;
   cfg.suspicion_spike_threshold = 4;
+  harness::Analyzer analyzer;
   AnomalyMonitor mon(sim, cfg);
-  mon.start();
+  mon.start(analyzer);
   sim.schedule(sim::kSecond / 2, [&] {
-    for (int i = 0; i < 10; ++i) mon.on_suspicion();
+    for (int i = 0; i < 10; ++i) analyzer.observe(event(EventKind::kSuspected));
   });
   sim.run_until(3 * sim::kSecond);
   // Tick at 1s sees 10 > 4; the window resets, so ticks at 2s/3s stay quiet.
@@ -91,16 +111,20 @@ TEST(Anomaly, ReconcileFailureNeedsRatioAndMinSamples) {
   AnomalyConfig cfg;
   cfg.reconcile_failure_ratio = 0.5;
   cfg.reconcile_min_samples = 8;
+  harness::Analyzer analyzer;
   AnomalyMonitor mon(sim, cfg);
-  mon.start();
+  mon.start(analyzer);
+  const auto ok = event(EventKind::kReconcileRound, obs::kReconcileDecoded);
+  const auto failed =
+      event(EventKind::kReconcileRound, obs::kReconcileOverflow);
   // Window 1: 4 ok + 4 failed = 8 samples at exactly the ratio bound.
   sim.schedule(sim::kSecond / 2, [&] {
-    for (int i = 0; i < 4; ++i) mon.on_reconcile(true);
-    for (int i = 0; i < 4; ++i) mon.on_reconcile(false);
+    for (int i = 0; i < 4; ++i) analyzer.observe(ok);
+    for (int i = 0; i < 4; ++i) analyzer.observe(failed);
   });
   // Window 2: all failures but below the sample floor — no alert.
   sim.schedule(3 * sim::kSecond / 2, [&] {
-    for (int i = 0; i < 7; ++i) mon.on_reconcile(false);
+    for (int i = 0; i < 7; ++i) analyzer.observe(failed);
   });
   sim.run_until(3 * sim::kSecond);
   ASSERT_EQ(mon.alerts().size(), 1u);
@@ -115,17 +139,20 @@ TEST(Anomaly, CommitSloUsesNearestRankP95) {
   sim::Simulator sim(1);
   AnomalyConfig cfg;
   cfg.commit_latency_slo_s = 1.0;
+  harness::Analyzer analyzer;
   AnomalyMonitor mon(sim, cfg);
-  mon.start();
+  mon.start(analyzer);
   // 18 fast settles and 2 slow ones: rank ceil(0.95*20) = 19 lands on the
   // first slow sample, breaching the SLO.
   sim.schedule(sim::kSecond / 2, [&] {
-    for (std::uint64_t i = 0; i < 20; ++i) mon.on_submit(i, 0);
-    for (std::uint64_t i = 0; i < 18; ++i) {
-      mon.on_settle(i, 100 * sim::kMillisecond);
+    for (std::uint64_t i = 0; i < 20; ++i) {
+      analyzer.observe(event(EventKind::kTxSubmit, i));
     }
-    mon.on_settle(18, 5 * sim::kSecond);
-    mon.on_settle(19, 5 * sim::kSecond);
+    for (std::uint64_t i = 0; i < 18; ++i) {
+      analyzer.observe(event(EventKind::kTxAdmit, i, 100 * sim::kMillisecond));
+    }
+    analyzer.observe(event(EventKind::kTxAdmit, 18, 5 * sim::kSecond));
+    analyzer.observe(event(EventKind::kTxAdmit, 19, 5 * sim::kSecond));
   });
   sim.run_until(2 * sim::kSecond);
   ASSERT_EQ(mon.alerts().size(), 1u);
@@ -137,15 +164,18 @@ TEST(Anomaly, CommitSloToleratesASingleOutlier) {
   sim::Simulator sim(1);
   AnomalyConfig cfg;
   cfg.commit_latency_slo_s = 1.0;
+  harness::Analyzer analyzer;
   AnomalyMonitor mon(sim, cfg);
-  mon.start();
+  mon.start(analyzer);
   // 19 fast + 1 slow: rank 19 of 20 is still a fast sample.
   sim.schedule(sim::kSecond / 2, [&] {
-    for (std::uint64_t i = 0; i < 20; ++i) mon.on_submit(i, 0);
-    for (std::uint64_t i = 0; i < 19; ++i) {
-      mon.on_settle(i, 100 * sim::kMillisecond);
+    for (std::uint64_t i = 0; i < 20; ++i) {
+      analyzer.observe(event(EventKind::kTxSubmit, i));
     }
-    mon.on_settle(19, 5 * sim::kSecond);
+    for (std::uint64_t i = 0; i < 19; ++i) {
+      analyzer.observe(event(EventKind::kTxAdmit, i, 100 * sim::kMillisecond));
+    }
+    analyzer.observe(event(EventKind::kTxAdmit, 19, 5 * sim::kSecond));
   });
   sim.run_until(2 * sim::kSecond);
   EXPECT_TRUE(mon.alerts().empty());
@@ -158,9 +188,10 @@ TEST(Anomaly, AlertsRideTheTraceStream) {
   sim.obs().tracer.enable(true);
   AnomalyConfig cfg;
   cfg.censor_dwell_threshold_s = 2.0;
+  harness::Analyzer analyzer;
   AnomalyMonitor mon(sim, cfg);
-  mon.start();
-  mon.on_submit(0x77, 0);
+  mon.start(analyzer);
+  analyzer.observe(event(EventKind::kTxSubmit, 0x77));
   sim.run_until(4 * sim::kSecond);
   ASSERT_EQ(mon.alerts().size(), 1u);
 
@@ -203,7 +234,7 @@ std::string run_monitored_lo(std::uint64_t seed) {
                   a.detail.c_str());
     out += buf;
   }
-  out += std::to_string(net.anomaly()->inflight());
+  out += std::to_string(net.analyzer().inflight());
   out += "\n";
   net.publish_metrics();
   out += net.sim().obs().registry.to_json("anomaly");
@@ -217,8 +248,8 @@ baselines::FloodNode::Config flood_cfg() {
 }
 
 // The same detectors ride the baseline stacks: a healthy flood run with a
-// sane SLO raises nothing, and every tx clears the in-flight set — the
-// monitor observes real submit/settle feeds.
+// sane SLO raises nothing, and every tx settles — the monitor reads real
+// submit and admit events.
 TEST(Anomaly, FloodNetworkFeedsTheMonitor) {
   harness::ScaffoldConfig cfg;
   cfg.num_nodes = 10;
@@ -231,15 +262,15 @@ TEST(Anomaly, FloodNetworkFeedsTheMonitor) {
   net.run_for(10.0);
   ASSERT_NE(net.anomaly(), nullptr);
   EXPECT_GT(net.txs_injected(), 0u);
-  EXPECT_EQ(net.anomaly()->inflight(), 0u)
+  EXPECT_EQ(net.analyzer().inflight(), 0u)
       << "flood baseline left submitted txs unsettled";
   EXPECT_TRUE(net.anomaly()->alerts().empty());
 }
 
 // Without blocks a tx settles at its first mempool admit, whatever the node
-// kind. A submit admits synchronously, so the scaffold must register the tx
-// as in flight before it places it: right after the first arrival nothing
-// may be left in flight.
+// kind. A submit admits synchronously, so the scaffold must emit tx.submit
+// before it places the tx: right after the first arrival nothing may be
+// left in flight.
 template <typename NodeT>
 std::uint64_t inflight_after_first_arrival(harness::Network<NodeT>& net) {
   net.start_anomaly_monitor();
@@ -247,7 +278,7 @@ std::uint64_t inflight_after_first_arrival(harness::Network<NodeT>& net) {
   while (net.txs_injected() == 0 && net.sim().step()) {
   }
   EXPECT_EQ(net.txs_injected(), 1u);
-  return net.anomaly()->inflight();
+  return net.analyzer().inflight();
 }
 
 TEST(Anomaly, FirstArrivalSettlesAtItsAdmit) {

@@ -22,7 +22,7 @@ using test::node_counter;
 
 double first_suspicion_of(const harness::LoNetwork& net, core::NodeId accused) {
   double first = -1.0;
-  for (const auto& ev : net.suspicion_events()) {
+  for (const auto& ev : net.analyzer().suspicion_events) {
     if (ev.accused != accused) continue;
     if (first < 0.0 || ev.when_s < first) first = ev.when_s;
   }
@@ -236,7 +236,7 @@ TEST(Chaos, DeterministicReplay) {
                       counter_total(net, "lo.retries_sent"),
                       counter_total(net, "lo.timeouts_fired"),
                       counter_total(net, "lo.suspicions_raised"),
-                      net.suspicion_events().size()};
+                      net.analyzer().suspicion_events.size()};
   };
   EXPECT_EQ(run(), run());
 }
@@ -322,13 +322,13 @@ TEST(Chaos, MembershipConfirmsCrashAndAbsolvesTimeouts) {
   }
   EXPECT_EQ(confirms, net.size() - 1)
       << "every live node must confirm the crashed one";
-  ASSERT_GT(net.membership_detection_latency().count(), 0u);
-  for (double s : net.membership_detection_latency().values()) {
+  ASSERT_GT(net.analyzer().membership_detection_latency.count(), 0u);
+  for (double s : net.analyzer().membership_detection_latency.values()) {
     EXPECT_LE(s, bound_s) << "detection latency must be bounded";
   }
   // Accuracy in a loss-free run: the only member ever suspected or confirmed
   // anywhere is the node that actually crashed.
-  for (const auto& ev : net.member_events()) {
+  for (const auto& ev : net.analyzer().member_events) {
     if (ev.state != membership::MemberState::kAlive) {
       EXPECT_EQ(ev.member, 3u) << "false " << member_state_name(ev.state)
                                << " of live node " << ev.member;
@@ -366,7 +366,7 @@ TEST(Chaos, AsymmetricPartitionCausesNoMembershipSuspicion) {
   net.stop_workload();
   net.run_for(30.0);  // link heals at 40 s; accountability drains after
 
-  for (const auto& ev : net.member_events()) {
+  for (const auto& ev : net.analyzer().member_events) {
     EXPECT_EQ(ev.state, membership::MemberState::kAlive)
         << "membership " << member_state_name(ev.state) << " of node "
         << ev.member << " under a one-way link";
@@ -412,7 +412,7 @@ TEST(Chaos, FlappingPeerRejoinsWithGrowingIncarnation) {
   }
   // No stale confirm of the flapper may survive the final rejoin, and no
   // live node was ever suspected or confirmed.
-  for (const auto& ev : net.member_events()) {
+  for (const auto& ev : net.analyzer().member_events) {
     if (ev.state != membership::MemberState::kAlive) {
       EXPECT_EQ(ev.member, 7u);
     }
@@ -443,9 +443,9 @@ TEST(Chaos, MassChurnWithMembershipStaysAccurateAndConverges) {
 
   // Accuracy under churn: anything beyond alive only ever hit nodes that
   // really crashed at some point.
-  for (const auto& ev : net.member_events()) {
+  for (const auto& ev : net.analyzer().member_events) {
     if (ev.state != membership::MemberState::kAlive) {
-      EXPECT_TRUE(net.ever_crashed(ev.member))
+      EXPECT_EQ(net.analyzer().crashed.count(ev.member), 1u)
           << "node " << ev.member << " was "
           << member_state_name(ev.state) << " but never crashed";
     }
@@ -490,7 +490,7 @@ TEST(Chaos, MembershipScalesToThousandNodes) {
     if (net.node(i).swim()->confirmed_faulty(123)) ++confirms;
   }
   EXPECT_EQ(confirms, net.size() - 1);
-  for (const auto& ev : net.member_events()) {
+  for (const auto& ev : net.analyzer().member_events) {
     if (ev.state != membership::MemberState::kAlive) {
       EXPECT_EQ(ev.member, 123u)
           << "false " << member_state_name(ev.state) << " at scale";

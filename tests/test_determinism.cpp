@@ -92,12 +92,12 @@ std::string lo_trace_digest(harness::LoNetwork& net) {
       d.u64(e);
     }
   }
-  for (const auto& ev : net.suspicion_events()) {
+  for (const auto& ev : net.analyzer().suspicion_events) {
     d.u64(ev.observer);
     d.u64(ev.accused);
     d.f64(ev.when_s);
   }
-  for (const auto& ev : net.exposure_events()) {
+  for (const auto& ev : net.analyzer().exposure_events) {
     d.u64(ev.observer);
     d.u64(ev.accused);
     d.f64(ev.when_s);
@@ -281,7 +281,7 @@ std::string run_lo_membership(std::uint64_t seed) {
 
   TraceDigest d;
   d.str(lo_trace_digest(net));
-  for (const auto& ev : net.member_events()) {
+  for (const auto& ev : net.analyzer().member_events) {
     d.u64(ev.observer);
     d.u64(ev.member);
     d.u64(static_cast<std::uint64_t>(ev.state));
@@ -298,7 +298,9 @@ std::string run_lo_membership(std::uint64_t seed) {
       }
     }
   }
-  for (double v : net.membership_detection_latency().values()) d.f64(v);
+  for (double v : net.analyzer().membership_detection_latency.values()) {
+    d.f64(v);
+  }
   return d.hex();
 }
 
@@ -445,11 +447,11 @@ TEST(Determinism, CausalSpansFormACrossNodeHappensBeforeDag) {
 // hash differently. If this test ever fails, the digest has gone
 // order-blind and the equality tests above prove nothing.
 TEST(Determinism, UnorderedEmissionIsCaught) {
-  const harness::LoNetwork::BlameEvent e1{/*observer=*/1, /*accused=*/9, 0.5};
-  const harness::LoNetwork::BlameEvent e2{/*observer=*/2, /*accused=*/9, 0.5};
+  const harness::BlameEvent e1{/*observer=*/1, /*accused=*/9, 0.5};
+  const harness::BlameEvent e2{/*observer=*/2, /*accused=*/9, 0.5};
 
   auto digest_events =
-      [](const std::vector<harness::LoNetwork::BlameEvent>& evs) {
+      [](const std::vector<harness::BlameEvent>& evs) {
         TraceDigest d;
         for (const auto& ev : evs) {
           d.u64(ev.observer);

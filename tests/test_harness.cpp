@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 
 #include "baselines/flood.hpp"
@@ -164,6 +165,88 @@ TEST(Harness, SeedsChangeOutcomes) {
   EXPECT_NE(run(1), run(2));
 }
 
+// The recorded events of `kind`.
+std::vector<obs::TraceEvent> traced(LoNetwork& net, obs::EventKind kind) {
+  std::vector<obs::TraceEvent> out;
+  for (const auto& ev : net.sim().obs().tracer.events()) {
+    if (ev.kind == static_cast<std::uint16_t>(kind)) out.push_back(ev);
+  }
+  return out;
+}
+
+// A crash is traced where it happens, whoever caused it: by hand or through
+// the fault injector, once each.
+TEST(Harness, CrashesAreTracedWhereTheyHappen) {
+  auto cfg = net_cfg(8, 41);
+  cfg.trace = true;
+  LoNetwork net(cfg);
+  net.faults().crash_at(2 * sim::kSecond, 3, sim::kSecond);
+  net.crash_node(2);
+  net.crash_node(2);  // already down: no event
+  net.run_for(1.0);
+  net.restart_node(2);
+  net.run_for(3.0);
+  for (const auto kind :
+       {obs::EventKind::kFaultCrash, obs::EventKind::kFaultRestart}) {
+    const auto events = traced(net, kind);
+    ASSERT_EQ(events.size(), 2u) << obs::event_kind_name(kind);
+    EXPECT_EQ(events[0].node, 2u);
+    EXPECT_EQ(events[1].node, 3u);
+  }
+}
+
+// start_workload's fanout: each tx reaches the network through two
+// tx.submit events, yet it settles once, and the second submit never puts
+// it back in flight.
+template <typename NetT>
+void expect_fanout_settles_once(NetT& net) {
+  net.start_workload(load_of(10.0, 43), /*submit_fanout=*/2);
+  net.run_for(5.0);
+  net.stop_workload();
+  net.run_for(10.0);
+  std::map<std::uint64_t, std::size_t> submits;
+  for (const auto& ev : net.sim().obs().tracer.events()) {
+    if (ev.kind == static_cast<std::uint16_t>(obs::EventKind::kTxSubmit)) {
+      ++submits[ev.a];
+    }
+  }
+  ASSERT_GT(submits.size(), 10u);
+  for (const auto& [txid, n] : submits) EXPECT_EQ(n, 2u) << txid;
+  const Analyzer& a = net.analyzer();
+  EXPECT_EQ(a.inflight(), 0u);
+  EXPECT_EQ(a.settle_latency.count(), submits.size());
+}
+
+TEST(Harness, FanoutSubmitsSettleOnce) {
+  auto cfg = net_cfg(10, 45);
+  cfg.trace = true;
+  LoNetwork lo_net(cfg);
+  expect_fanout_settles_once(lo_net);
+  baselines::FloodNode::Config flood;
+  flood.prevalidation.sig_mode = kMode;
+  Network<baselines::FloodNode> flood_net(cfg, flood);
+  expect_fanout_settles_once(flood_net);
+}
+
+// With blocks, a tx submitted twice settles at its one tx.finalize and gives
+// one block-latency sample.
+TEST(Harness, FanoutGivesOneBlockLatencyPerTx) {
+  auto cfg = net_cfg(10, 47);
+  cfg.trace = true;
+  LoNetwork net(cfg);
+  consensus::LeaderConfig lc;
+  lc.mean_block_interval = 2 * sim::kSecond;
+  lc.exponential_intervals = false;
+  net.start_block_production(lc);
+  expect_fanout_settles_once(net);
+  const auto finalized = traced(net, obs::EventKind::kTxFinalize);
+  EXPECT_EQ(finalized.size(), net.analyzer().settle_latency.count());
+  EXPECT_EQ(net.block_latency().count(), finalized.size());
+  for (const auto& [txid, tx] : net.analyzer().txs) {
+    EXPECT_EQ(tx.settle_at, tx.finalize_at) << txid;
+  }
+}
+
 // ------------------------------------------------ one observation channel ----
 
 // Silent censors, a faulty node that builds a reordered block, block
@@ -200,34 +283,45 @@ std::unique_ptr<LoNetwork> adversarial_run(bool record) {
 }
 
 // The recorded events of `kind` as blame feed entries.
-std::vector<LoNetwork::BlameEvent> traced_blame(LoNetwork& net,
-                                                obs::EventKind kind) {
-  std::vector<LoNetwork::BlameEvent> out;
-  for (const auto& ev : net.sim().obs().tracer.events()) {
-    if (ev.kind != static_cast<std::uint16_t>(kind)) continue;
+std::vector<BlameEvent> traced_blame(LoNetwork& net, obs::EventKind kind) {
+  std::vector<BlameEvent> out;
+  for (const auto& ev : traced(net, kind)) {
     out.push_back({ev.node, ev.peer, sim::to_seconds(ev.at)});
   }
   return out;
 }
 
-// The sink contract (obs::Tracer::set_sink): a fact any feed reads is
-// emitted without an enabled() guard, so recording changes no feed, no alert
-// and no registry cell.
+// The parts of two analyzers' state one by one, for the failure message,
+// then the whole of it.
+void expect_same_analysis(const Analyzer& got, const Analyzer& want) {
+  EXPECT_TRUE(got.txs == want.txs) << "per-tx lifecycles differ";
+  EXPECT_EQ(got.mempool_latency.values(), want.mempool_latency.values());
+  EXPECT_EQ(got.block_latency.values(), want.block_latency.values());
+  EXPECT_EQ(got.settle_latency.values(), want.settle_latency.values());
+  EXPECT_EQ(got.membership_detection_latency.values(),
+            want.membership_detection_latency.values());
+  EXPECT_EQ(got.suspicion_events, want.suspicion_events);
+  EXPECT_EQ(got.exposure_events, want.exposure_events);
+  EXPECT_EQ(got.member_events, want.member_events);
+  EXPECT_EQ(got.reconciles_ok, want.reconciles_ok);
+  EXPECT_EQ(got.reconciles_failed, want.reconciles_failed);
+  EXPECT_TRUE(got == want) << "the analyzers' states differ";
+}
+
+// The sink contract (obs::Tracer::set_sink): a fact the analyzer reads is
+// emitted without an enabled() guard, so recording changes none of the
+// analyzer's state, no alert and no registry cell.
 TEST(ObsChannel, FeedsAreTheSameWithRecordingOnOrOff) {
   auto on = adversarial_run(true);
   auto off = adversarial_run(false);
-  for (const std::size_t n : {on->block_latency().count(),
-                              on->membership_detection_latency().count(),
-                              on->anomaly()->alerts().size()}) {
+  const Analyzer& a = on->analyzer();
+  for (const std::size_t n :
+       {a.block_latency.count(), a.membership_detection_latency.count(),
+        a.suspicion_events.size(), a.exposure_events.size(),
+        a.member_events.size(), on->anomaly()->alerts().size()}) {
     EXPECT_GT(n, 0u) << "the run misses a feed";
   }
-  EXPECT_EQ(on->mempool_latency().values(), off->mempool_latency().values());
-  EXPECT_EQ(on->block_latency().values(), off->block_latency().values());
-  EXPECT_EQ(on->membership_detection_latency().values(),
-            off->membership_detection_latency().values());
-  EXPECT_EQ(on->suspicion_events(), off->suspicion_events());
-  EXPECT_EQ(on->exposure_events(), off->exposure_events());
-  EXPECT_EQ(on->member_events(), off->member_events());
+  expect_same_analysis(on->analyzer(), off->analyzer());
   EXPECT_EQ(on->detection_times(), off->detection_times());
   EXPECT_EQ(on->anomaly()->alerts(), off->anomaly()->alerts());
   on->publish_metrics();
@@ -236,19 +330,36 @@ TEST(ObsChannel, FeedsAreTheSameWithRecordingOnOrOff) {
             off->sim().obs().registry.to_json("feeds"));
 }
 
+// One analysis online and offline: the run's recorded trace, replayed
+// through a fresh analyzer, gives exactly the live run's per-tx settle
+// times, latency samples, blame and member feeds, membership latencies and
+// detection times.
+TEST(ObsChannel, ReplayedTraceGivesTheLiveAnalysis) {
+  auto net = adversarial_run(true);
+  const auto& tracer = net->sim().obs().tracer;
+  ASSERT_EQ(tracer.dropped(), 0u) << "the ring lost the start of the run";
+  Analyzer replay;
+  for (const auto& ev : obs::Tracer::from_bytes(tracer.bytes()).events) {
+    replay.observe(ev);
+  }
+  expect_same_analysis(replay, net->analyzer());
+  EXPECT_EQ(replay.detection_times(net->malicious_mask()),
+            net->detection_times());
+}
+
 // An exposure found by inspecting a block is a kExpose, and a suspicion a
 // node adopts from another's report a blame.suspected, so the trace holds
 // both blame feeds.
 TEST(ObsChannel, TraceHoldsTheBlameFeeds) {
   auto net = adversarial_run(true);
-  ASSERT_FALSE(net->exposure_events().empty());
+  ASSERT_FALSE(net->analyzer().exposure_events.empty());
   EXPECT_EQ(traced_blame(*net, obs::EventKind::kExpose),
-            net->exposure_events());
+            net->analyzer().exposure_events);
   const auto suspected = traced_blame(*net, obs::EventKind::kSuspected);
   // Each own report (kSuspect) gains at most one suspect: the rest relayed.
   const auto own = traced_blame(*net, obs::EventKind::kSuspect);
   EXPECT_GT(suspected.size(), own.size()) << "no relayed suspicion adopted";
-  EXPECT_EQ(suspected, net->suspicion_events());
+  EXPECT_EQ(suspected, net->analyzer().suspicion_events);
 }
 
 // Every node kind admits with one kTxAdmit whose b is the tx's created_at,

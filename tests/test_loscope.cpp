@@ -29,6 +29,7 @@ using obs::Tracer;
 // derived quantity (hop latency, critical path, dwell, detection decomposition)
 // has one known-correct answer:
 //
+//   no span:            t=0     the harness starts block production
 //   span 1 (root):      t=1ms   node 0 submits tx 0x111, gossips to node 1
 //   span 2 (parent 1):  t=3ms   node 1 receives, admits
 //   span 3 (parent 2):  t=5ms   node 1 commits (bundle seqno 7)
@@ -37,6 +38,7 @@ using obs::Tracer;
 //   span 6 (parent 5):  t=12ms  node 1 exposes node 2
 void emit_scripted_story(Tracer& t, std::int64_t& now) {
   const auto sync = t.intern("sync");
+  t.emit(EventKind::kBlockStart, 0);
   t.set_cause({1, 0});
   now = 1000;
   t.emit(EventKind::kTxSubmit, 0, 0, 0x111);
@@ -56,6 +58,7 @@ void emit_scripted_story(Tracer& t, std::int64_t& now) {
   t.emit(EventKind::kBlockInspect, 1, 2, 0xb10c, 7);
   t.emit(EventKind::kTxCensored, 1, 2, 0x111, 0xb10c);
   t.emit(EventKind::kSuspect, 1, 2, 0, 0);
+  t.emit(EventKind::kSuspected, 1, 2);
   t.set_cause({6, 5});
   now = 12000;
   t.emit(EventKind::kExpose, 1, 2, 0, 0);
@@ -75,24 +78,25 @@ TraceModel scripted_model() {
 
 TEST(LoscopeModel, IndexesSpansAndTransactions) {
   const TraceModel m = scripted_model();
-  EXPECT_EQ(m.file.events.size(), 10u);
+  EXPECT_EQ(m.file.events.size(), 12u);
   EXPECT_EQ(m.by_span.size(), 6u);
   ASSERT_EQ(m.by_tx.count(0x111), 1u);
   // submit, admit, commit, censored — the lifecycle events only.
   EXPECT_EQ(m.by_tx.at(0x111).size(), 4u);
   EXPECT_EQ(m.end_at, 12000);
-  // Span index holds stream order: span 5 emitted inspect, censored, suspect.
+  // Span index holds stream order: span 5 emitted inspect, censored,
+  // suspect, suspected.
   const auto& s5 = m.by_span.at(5);
-  ASSERT_EQ(s5.size(), 3u);
+  ASSERT_EQ(s5.size(), 4u);
   EXPECT_EQ(m.ev(s5[0]).kind, static_cast<std::uint16_t>(EventKind::kBlockInspect));
   EXPECT_EQ(m.ev(s5[2]).kind, static_cast<std::uint16_t>(EventKind::kSuspect));
 }
 
 TEST(LoscopeModel, SummaryCountsCoverageAndLifecycles) {
   const auto s = loscope::summarize(scripted_model());
-  EXPECT_EQ(s.events, 10u);
+  EXPECT_EQ(s.events, 12u);
   EXPECT_EQ(s.dropped, 0u);
-  EXPECT_EQ(s.with_cause, 10u);
+  EXPECT_EQ(s.with_cause, 11u);  // all but block.start
   EXPECT_EQ(s.distinct_spans, 6u);
   EXPECT_EQ(s.txs_submitted, 1u);
   EXPECT_EQ(s.txs_committed, 1u);
@@ -166,12 +170,12 @@ TEST(LoscopeLineage, UnknownTxidReturnsNullopt) {
 
 TEST(LoscopeCensorship, BlockTracesSettleOnFinalize) {
   const auto r = loscope::censorship(scripted_model());
-  EXPECT_TRUE(r.uses_blocks);  // a kBlockBuild is present
+  EXPECT_TRUE(r.uses_blocks);  // a block.start is present
   ASSERT_EQ(r.entries.size(), 1u);
   const auto& e = r.entries[0];
   EXPECT_EQ(e.txid, 0x111u);
   EXPECT_EQ(e.submit_at, 1000);
-  EXPECT_EQ(e.first_commit_at, 5000);
+  EXPECT_EQ(e.first_admit_at, 3000);  // after block.start: does not settle
   EXPECT_EQ(e.first_finalize_at, -1);
   // Never included in a block: dwell runs to the trace horizon.
   EXPECT_FALSE(e.settled);
@@ -182,24 +186,39 @@ TEST(LoscopeCensorship, BlockTracesSettleOnFinalize) {
   EXPECT_DOUBLE_EQ(r.max_dwell_s, 0.011);
 }
 
-TEST(LoscopeCensorship, BlocklessTracesSettleOnFirstCommit) {
+// The harness's settle rule, replayed: a tx admitted before block.start
+// settles at its admit, one admitted after settles only at its finalize, and
+// a commit alone settles nothing.
+TEST(LoscopeCensorship, SettlesAtAdmitUntilBlockStart) {
   Tracer t;
   std::int64_t now = 0;
   t.set_clock(&now);
   t.enable(true);
   now = 1000;
   t.emit(EventKind::kTxSubmit, 0, 0, 0x22);
+  now = 2000;
+  t.emit(EventKind::kTxAdmit, 0, 0, 0x22);
+  t.emit(EventKind::kTxSubmit, 0, 0, 0x33);
+  now = 3000;
+  t.emit(EventKind::kBlockStart, 0);
   now = 4000;
-  t.emit(EventKind::kTxCommit, 1, 0, 0x22, 3);
+  t.emit(EventKind::kTxAdmit, 1, 0, 0x33);
+  t.emit(EventKind::kTxCommit, 1, 0, 0x33, 3);
   now = 9000;
-  t.emit(EventKind::kTxSubmit, 0, 0, 0x33);  // never commits
+  t.emit(EventKind::kTxFinalize, 2, 0, 0x22, 1);
+  t.emit(EventKind::kTxFinalize, 2, 0, 0x33, 1);
+  now = 12000;
+  t.emit(EventKind::kTxSubmit, 0, 0, 0x44);
+  t.emit(EventKind::kTxCommit, 0, 0, 0x44, 4);
   const auto m = TraceModel::build(Tracer::from_bytes(t.bytes()));
   const auto r = loscope::censorship(m);
-  EXPECT_FALSE(r.uses_blocks);
-  ASSERT_EQ(r.entries.size(), 2u);
+  EXPECT_TRUE(r.uses_blocks);
+  ASSERT_EQ(r.entries.size(), 3u);
   EXPECT_TRUE(r.entries[0].settled);
-  EXPECT_DOUBLE_EQ(r.entries[0].dwell_s, 0.003);
-  EXPECT_FALSE(r.entries[1].settled);
+  EXPECT_DOUBLE_EQ(r.entries[0].dwell_s, 0.001);  // its admit, not its block
+  EXPECT_TRUE(r.entries[1].settled);
+  EXPECT_DOUBLE_EQ(r.entries[1].dwell_s, 0.007);  // its block, not its admit
+  EXPECT_FALSE(r.entries[2].settled);
   EXPECT_EQ(r.never_settled, 1u);
 }
 
@@ -234,9 +253,9 @@ TEST(LoscopeDetection, DecomposesProofSuspicionExposure) {
   const auto d = loscope::detection(scripted_model());
   ASSERT_EQ(d.size(), 1u);
   EXPECT_EQ(d[0].accused, 2u);
-  EXPECT_EQ(d[0].first_proof_at, 9000);
-  EXPECT_EQ(d[0].first_suspicion_at, 9000);
-  EXPECT_EQ(d[0].first_exposure_at, 12000);
+  EXPECT_DOUBLE_EQ(d[0].first_proof_s, 0.009);
+  EXPECT_DOUBLE_EQ(d[0].first_suspicion_s, 0.009);
+  EXPECT_DOUBLE_EQ(d[0].first_exposure_s, 0.012);
   EXPECT_EQ(d[0].suspicion_count, 1u);
   EXPECT_EQ(d[0].exposure_count, 1u);
 }

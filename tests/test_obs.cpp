@@ -97,14 +97,12 @@ TEST(Registry, RollupStripsLabels) {
   EXPECT_EQ(global.at("lo.timeouts").counter, 1u);
 }
 
-TEST(Registry, JsonAndCsvAreDeterministicallyOrdered) {
+TEST(Registry, JsonIsDeterministicallyOrdered) {
   obs::Registry reg;
   reg.counter("z.last") = 1;
   reg.counter("a.first") = 2;
   const std::string json = reg.to_json("suite");
-  const std::string csv = reg.to_csv();
   EXPECT_LT(json.find("a.first"), json.find("z.last"));
-  EXPECT_LT(csv.find("a.first"), csv.find("z.last"));
   EXPECT_NE(json.find("\"bench_suite\": \"suite\""), std::string::npos);
 }
 
@@ -123,20 +121,6 @@ TEST(Registry, ExportCarriesHistogramPercentiles) {
     ASSERT_NE(pos, std::string::npos) << key << "missing from JSON export";
     EXPECT_DOUBLE_EQ(std::strtod(json.c_str() + pos + key.size(), nullptr),
                      h.quantile(q));
-  }
-
-  // CSV: widened header, percentile columns on histogram rows, and padded
-  // scalar rows so every line keeps the same arity.
-  const std::string csv = reg.to_csv();
-  EXPECT_EQ(csv.rfind("id,kind,value,count,sum,min,max,p50,p95,p99\n", 0), 0u);
-  EXPECT_NE(csv.find("c,counter,7,,,,,,,\n"), std::string::npos);
-  const auto header_cols =
-      std::count(csv.begin(), csv.begin() + csv.find('\n'), ',');
-  std::istringstream lines(csv);
-  std::string line;
-  while (std::getline(lines, line)) {
-    EXPECT_EQ(std::count(line.begin(), line.end(), ','), header_cols)
-        << "ragged CSV row: " << line;
   }
 }
 
@@ -367,45 +351,32 @@ TEST(Tracer, FromBytesRejectsMalformedInput) {
   EXPECT_THROW(obs::Tracer::from_bytes(truncated), util::SerdeError);
 }
 
-TEST(Tracer, ReadsVersion1TracesWithoutCausalFields) {
-  // Hand-built v1 stream: 40-byte events, no span/parent. Old captures must
-  // keep parsing after the causal-layer upgrade, loading span/parent as 0.
-  util::Writer w;
-  for (char m : {'L', 'O', 'T', 'R'}) w.u8(static_cast<std::uint8_t>(m));
-  w.u32(1);  // version 1
-  w.u64(3);  // dropped
-  w.u32(2);  // names: "", "inv"
-  w.str("");
-  w.str("inv");
-  w.u64(1);  // one event
-  w.u64(77);  // at
-  w.u16(static_cast<std::uint16_t>(obs::EventKind::kTxSubmit));
-  w.u16(1);  // name = "inv"
-  w.u32(4);  // node
-  w.u32(5);  // peer
-  w.u32(6);  // aux
-  w.u64(0xaa);
-  w.u64(0xbb);
-
-  const auto f = obs::Tracer::from_bytes(w.take_u8());
-  EXPECT_EQ(f.dropped, 3u);
-  ASSERT_EQ(f.names.size(), 2u);
-  EXPECT_EQ(f.names[1], "inv");
-  ASSERT_EQ(f.events.size(), 1u);
-  EXPECT_EQ(f.events[0].at, 77);
-  EXPECT_EQ(f.events[0].node, 4u);
-  EXPECT_EQ(f.events[0].aux, 6u);
-  EXPECT_EQ(f.events[0].b, 0xbbu);
-  EXPECT_EQ(f.events[0].span, 0u);
-  EXPECT_EQ(f.events[0].parent, 0u);
-}
-
 TEST(Tracer, FromBytesRejectsHostileHeaders) {
   // Unknown version.
   {
     util::Writer w;
     for (char m : {'L', 'O', 'T', 'R'}) w.u8(static_cast<std::uint8_t>(m));
     w.u32(99);
+    EXPECT_THROW(obs::Tracer::from_bytes(w.take_u8()), util::SerdeError);
+  }
+  // Version 1 (40-byte events without span/parent): only v2 is read, even
+  // when the body is a well-formed v1 one.
+  {
+    util::Writer w;
+    for (char m : {'L', 'O', 'T', 'R'}) w.u8(static_cast<std::uint8_t>(m));
+    w.u32(1);
+    w.u64(0);  // dropped
+    w.u32(1);  // names: ""
+    w.str("");
+    w.u64(1);  // one event
+    w.u64(77);  // at
+    w.u16(static_cast<std::uint16_t>(obs::EventKind::kTxSubmit));
+    w.u16(0);  // name
+    w.u32(4);  // node
+    w.u32(5);  // peer
+    w.u32(6);  // aux
+    w.u64(0xaa);
+    w.u64(0xbb);
     EXPECT_THROW(obs::Tracer::from_bytes(w.take_u8()), util::SerdeError);
   }
   // Event naming a string-table id that was never written.
@@ -572,8 +543,7 @@ TEST(TraceDeterminism, HarnessRegistryExportIsReplayStable) {
     net.start_workload(test::load_cfg(15.0, seed + 1));
     net.run_for(8.0);
     net.publish_metrics();
-    return net.sim().obs().registry.to_json("det") +
-           net.sim().obs().registry.to_csv();
+    return net.sim().obs().registry.to_json("det");
   };
   const auto a = run(11);
   EXPECT_EQ(a, run(11)) << "metrics export diverged between same-seed runs";

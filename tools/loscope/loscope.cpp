@@ -176,53 +176,39 @@ std::optional<Lineage> lineage(const TraceModel& m, std::uint64_t txid) {
 
 // --------------------------------------------------------------- censorship --
 
+namespace {
+
+// The file's events folded through the harness's own analyzer.
+harness::Analyzer replay(const TraceModel& m) {
+  harness::Analyzer a;
+  for (const auto& ev : m.file.events) a.observe(ev);
+  return a;
+}
+
+bool has_censor_proof(const TraceModel& m, std::uint64_t txid) {
+  const auto it = m.by_tx.find(txid);
+  if (it == m.by_tx.end()) return false;
+  return std::any_of(it->second.begin(), it->second.end(), [&](std::size_t i) {
+    return static_cast<EventKind>(m.ev(i).kind) == EventKind::kTxCensored;
+  });
+}
+
+}  // namespace
+
 CensorshipReport censorship(const TraceModel& m) {
+  const harness::Analyzer a = replay(m);
   CensorshipReport r;
-  for (const auto& ev : m.file.events) {
-    if (static_cast<EventKind>(ev.kind) == EventKind::kBlockBuild) {
-      r.uses_blocks = true;
-      break;
-    }
-  }
-  for (const auto& [txid, indices] : m.by_tx) {
+  r.uses_blocks = a.blocks_started;
+  for (const auto& [txid, tx] : a.txs) {
+    if (tx.submit_at < 0) continue;  // trace fragment without the submission
     DwellEntry e;
     e.txid = txid;
-    bool submitted = false;
-    for (std::size_t idx : indices) {
-      const auto& ev = m.ev(idx);
-      switch (static_cast<EventKind>(ev.kind)) {
-        case EventKind::kTxSubmit:
-          if (!submitted) e.submit_at = ev.at;
-          submitted = true;
-          break;
-        case EventKind::kTxAdmit:
-          if (e.first_admit_at < 0) e.first_admit_at = ev.at;
-          break;
-        case EventKind::kTxCommit:
-          if (e.first_commit_at < 0) e.first_commit_at = ev.at;
-          break;
-        case EventKind::kTxFinalize:
-          if (e.first_finalize_at < 0) e.first_finalize_at = ev.at;
-          break;
-        case EventKind::kTxCensored:
-          e.censor_proof = true;
-          break;
-        default:
-          break;
-      }
-    }
-    if (!submitted) continue;  // trace fragment without the submission
-    // Without blocks a tx settles at its first admit or commit, whichever is
-    // first: the baselines emit only admits, and LØ admits and commits in
-    // the same dispatch.
-    const auto earliest = [](std::int64_t a, std::int64_t b) {
-      return a < 0 ? b : b < 0 ? a : std::min(a, b);  // -1 = never
-    };
-    const std::int64_t settled_at =
-        r.uses_blocks ? e.first_finalize_at
-                      : earliest(e.first_admit_at, e.first_commit_at);
-    e.settled = settled_at >= 0;
-    e.dwell_s = to_s((e.settled ? settled_at : m.end_at) - e.submit_at);
+    e.submit_at = tx.submit_at;
+    e.first_admit_at = tx.admit_at;
+    e.first_finalize_at = tx.finalize_at;
+    e.settled = tx.settle_at >= 0;
+    e.dwell_s = to_s((e.settled ? tx.settle_at : m.end_at) - tx.submit_at);
+    e.censor_proof = has_censor_proof(m, txid);
     if (!e.settled) ++r.never_settled;
     if (e.censor_proof) ++r.proven_censored;
     r.max_dwell_s = std::max(r.max_dwell_s, e.dwell_s);
@@ -235,29 +221,26 @@ CensorshipReport censorship(const TraceModel& m) {
 
 std::vector<DetectionEntry> detection(const TraceModel& m) {
   std::map<std::uint32_t, DetectionEntry> by_accused;
+  const auto entry = [&](std::uint32_t accused) -> DetectionEntry& {
+    auto& e = by_accused[accused];
+    e.accused = accused;
+    return e;
+  };
   for (const auto& ev : m.file.events) {
-    const auto kind = static_cast<EventKind>(ev.kind);
-    if (kind != EventKind::kTxCensored && kind != EventKind::kSuspect &&
-        kind != EventKind::kExpose) {
-      continue;
-    }
-    auto& e = by_accused[ev.peer];
-    e.accused = ev.peer;
-    switch (kind) {
-      case EventKind::kTxCensored:
-        if (e.first_proof_at < 0) e.first_proof_at = ev.at;
-        break;
-      case EventKind::kSuspect:
-        if (e.first_suspicion_at < 0) e.first_suspicion_at = ev.at;
-        ++e.suspicion_count;
-        break;
-      case EventKind::kExpose:
-        if (e.first_exposure_at < 0) e.first_exposure_at = ev.at;
-        ++e.exposure_count;
-        break;
-      default:
-        break;
-    }
+    if (static_cast<EventKind>(ev.kind) != EventKind::kTxCensored) continue;
+    auto& e = entry(ev.peer);
+    if (e.first_proof_s < 0) e.first_proof_s = to_s(ev.at);
+  }
+  const harness::Analyzer a = replay(m);
+  for (const auto& b : a.suspicion_events) {
+    auto& e = entry(b.accused);
+    if (e.first_suspicion_s < 0) e.first_suspicion_s = b.when_s;
+    ++e.suspicion_count;
+  }
+  for (const auto& b : a.exposure_events) {
+    auto& e = entry(b.accused);
+    if (e.first_exposure_s < 0) e.first_exposure_s = b.when_s;
+    ++e.exposure_count;
   }
   std::vector<DetectionEntry> out;
   out.reserve(by_accused.size());
@@ -411,7 +394,7 @@ std::string render_censorship(const CensorshipReport& r, Format f) {
             "{\n  \"settle\": \"%s\",\n  \"never_settled\": %zu,\n"
             "  \"proven_censored\": %zu,\n"
             "  \"max_dwell_s\": %.6f,\n  \"entries\": [\n",
-            r.uses_blocks ? "block_inclusion" : "first_admit_or_commit",
+            r.uses_blocks ? "block_inclusion" : "first_admit",
             r.never_settled, r.proven_censored, r.max_dwell_s);
     for (std::size_t i = 0; i < r.entries.size(); ++i) {
       const auto& e = r.entries[i];
@@ -436,7 +419,9 @@ std::string render_censorship(const CensorshipReport& r, Format f) {
     return out;
   }
   appendf(out, "settle criterion  %s\n",
-          r.uses_blocks ? "first block inclusion" : "first admit or commit");
+          r.uses_blocks ? "first admit before block.start, first block "
+                          "inclusion after"
+                        : "first admit");
   appendf(out, "txs tracked       %zu\n", r.entries.size());
   appendf(out, "never settled     %zu\n", r.never_settled);
   appendf(out, "proven censored   %zu\n", r.proven_censored);
@@ -461,10 +446,8 @@ std::string render_detection(const std::vector<DetectionEntry>& d, Format f) {
               "  {\"accused\": %u, \"first_proof_s\": %.6f, "
               "\"first_suspicion_s\": %.6f, \"first_exposure_s\": %.6f, "
               "\"suspicions\": %zu, \"exposures\": %zu}%s\n",
-              e.accused, e.first_proof_at < 0 ? -1.0 : to_s(e.first_proof_at),
-              e.first_suspicion_at < 0 ? -1.0 : to_s(e.first_suspicion_at),
-              e.first_exposure_at < 0 ? -1.0 : to_s(e.first_exposure_at),
-              e.suspicion_count, e.exposure_count,
+              e.accused, e.first_proof_s, e.first_suspicion_s,
+              e.first_exposure_s, e.suspicion_count, e.exposure_count,
               i + 1 < d.size() ? "," : "");
     }
     out += "]\n";
@@ -474,30 +457,28 @@ std::string render_detection(const std::vector<DetectionEntry>& d, Format f) {
     out = "accused,first_proof_s,first_suspicion_s,first_exposure_s,"
           "suspicions,exposures\n";
     for (const auto& e : d) {
-      appendf(out, "%u,%.6f,%.6f,%.6f,%zu,%zu\n", e.accused,
-              e.first_proof_at < 0 ? -1.0 : to_s(e.first_proof_at),
-              e.first_suspicion_at < 0 ? -1.0 : to_s(e.first_suspicion_at),
-              e.first_exposure_at < 0 ? -1.0 : to_s(e.first_exposure_at),
-              e.suspicion_count, e.exposure_count);
+      appendf(out, "%u,%.6f,%.6f,%.6f,%zu,%zu\n", e.accused, e.first_proof_s,
+              e.first_suspicion_s, e.first_exposure_s, e.suspicion_count,
+              e.exposure_count);
     }
     return out;
   }
   if (d.empty()) return "no accountability events in trace\n";
   for (const auto& e : d) {
     appendf(out, "accused node %u:\n", e.accused);
-    if (e.first_proof_at >= 0) {
-      appendf(out, "  first censorship proof  %.6fs\n", to_s(e.first_proof_at));
+    if (e.first_proof_s >= 0) {
+      appendf(out, "  first censorship proof  %.6fs\n", e.first_proof_s);
     }
-    if (e.first_suspicion_at >= 0) {
+    if (e.first_suspicion_s >= 0) {
       appendf(out, "  first suspicion         %.6fs  (%zu total)\n",
-              to_s(e.first_suspicion_at), e.suspicion_count);
+              e.first_suspicion_s, e.suspicion_count);
     }
-    if (e.first_exposure_at >= 0) {
+    if (e.first_exposure_s >= 0) {
       appendf(out, "  first exposure          %.6fs  (%zu total)\n",
-              to_s(e.first_exposure_at), e.exposure_count);
-      if (e.first_suspicion_at >= 0) {
+              e.first_exposure_s, e.exposure_count);
+      if (e.first_suspicion_s >= 0) {
         appendf(out, "  suspicion -> exposure   %.6fs\n",
-                to_s(e.first_exposure_at - e.first_suspicion_at));
+                e.first_exposure_s - e.first_suspicion_s);
       }
     }
   }

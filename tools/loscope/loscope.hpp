@@ -10,16 +10,19 @@
 //               inclusion and (for censored txs) inspection -> suspicion ->
 //               exposure — with per-hop latencies and the causal critical
 //               path walked over span parents;
-//   censorship  dwell-time report: submit -> settle per tx (first block
-//               inclusion, or without blocks the first admit or commit),
-//               plus the txs that never settled and the kTxCensored proofs;
+//   censorship  dwell-time report: submit -> settle per tx by the
+//               harness's settle rule, plus the txs that never settled and
+//               the kTxCensored proofs;
 //   detection   decomposition of accountability latency per accused node:
-//               first censorship proof -> first suspicion -> first exposure;
+//               first censorship proof -> first suspicion -> first exposure,
+//               over the harness's blame feeds;
 //   shards      per-shard rollups of shard-scoped events;
 //   summary     whole-trace totals and causal-layer coverage.
 //
-// The library is exercised directly by tests/test_loscope.cpp; the CLI in
-// main.cpp is a thin argv wrapper.
+// censorship and detection replay the file's events through
+// harness::Analyzer, the class the harness feeds online. The library is
+// exercised directly by tests/test_loscope.cpp; the CLI in main.cpp is a thin
+// argv wrapper.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/analyzer.hpp"
 #include "obs/trace.hpp"
 
 namespace lo::loscope {
@@ -83,16 +87,13 @@ struct Lineage {
   std::int64_t censored_at = -1;
 };
 
-// Per-tx censorship dwell entry. "Settled" is first block inclusion when the
-// trace contains block production (kBlockBuild), and the first mempool admit
-// or commit anywhere otherwise — matching the harness AnomalyMonitor's
-// settle definition (a tx settles at its first admit until block production
-// starts).
+// Per-tx censorship dwell entry, from the analyzer's tx table: a tx settles
+// at its first mempool admit anywhere until block production starts
+// (block.start), at its first block inclusion after.
 struct DwellEntry {
   std::uint64_t txid = 0;
   std::int64_t submit_at = 0;
   std::int64_t first_admit_at = -1;     // -1 = never admitted in-trace
-  std::int64_t first_commit_at = -1;    // -1 = never committed in-trace
   std::int64_t first_finalize_at = -1;  // -1 = never included in a block
   double dwell_s = 0.0;  // submit -> settled, or -> trace end if never
   bool settled = false;
@@ -100,19 +101,22 @@ struct DwellEntry {
 };
 
 struct CensorshipReport {
-  bool uses_blocks = false;  // settle = finalize (true), admit/commit (false)
+  bool uses_blocks = false;  // the trace holds a block.start
   std::vector<DwellEntry> entries;  // ascending txid
   std::size_t never_settled = 0;
   std::size_t proven_censored = 0;
   double max_dwell_s = 0.0;
 };
 
-// Accountability latency decomposition for one accused node.
+// Accountability latency decomposition for one accused node, seconds.
+// Suspicions and exposures are the analyzer's feeds: every node's view
+// gaining the accused as a suspect (blame.suspected, own report or relayed)
+// and every node's first evidence against it (blame.expose).
 struct DetectionEntry {
   std::uint32_t accused = 0;
-  std::int64_t first_proof_at = -1;      // first kTxCensored naming it
-  std::int64_t first_suspicion_at = -1;  // first kSuspect naming it
-  std::int64_t first_exposure_at = -1;   // first kExpose naming it
+  double first_proof_s = -1.0;      // first kTxCensored naming it
+  double first_suspicion_s = -1.0;  // first blame.suspected naming it
+  double first_exposure_s = -1.0;   // first blame.expose naming it
   std::size_t suspicion_count = 0;
   std::size_t exposure_count = 0;
 };
